@@ -245,7 +245,10 @@ def _count_distinct_enumerate(A: IntegerSet, eq: Equation, budget: WorkBudget) -
             rec(nxt, p)
             used.discard(v)
 
-    rec(0, 0)
+    try:
+        rec(0, 0)
+    finally:
+        del rec  # break the closure's self-reference cycle
     return count
 
 
@@ -400,7 +403,10 @@ def _search_witness(
                 return hit
         return None
 
-    return rec(0, 0)
+    try:
+        return rec(0, 0)
+    finally:
+        del rec  # break the closure's self-reference cycle
 
 
 def find_distinct_solution(

@@ -13,13 +13,12 @@ import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, perm
 
 from .construct import greedy_solution_free
 from .counting import (
     DEFAULT_BUDGET,
     WorkBudget,
-    _order_constraints,
     count_all_solutions,
     is_solution_free,
 )
@@ -46,45 +45,14 @@ class SolutionHypergraph:
     incidence: dict[int, list[int]]
 
 
-def _ordering_exists(values: tuple[int, ...], coeffs: tuple[int, ...], k: int) -> bool:
-    """Whether some bijection of the (distinct) values onto the variable
-    slots gives a zero weighted sum.
-
-    Slots sharing a coefficient may be assumed to take increasing values, and
-    when the first slot of each half carries a unique coefficient the halves
-    may be assumed ordered too; both cut permutations without losing any
-    achievable zero sum.
-    """
-    n = len(coeffs)
-    prev = _order_constraints(coeffs, k, None)
-    lo = [0] * (n + 1)
-    hi = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        c = coeffs[i]
-        ends = (c * values[0], c * values[-1])
-        lo[i] = lo[i + 1] + min(ends)
-        hi[i] = hi[i + 1] + max(ends)
-    val = [0] * n
-
-    def rec(pos: int, partial: int, used_mask: int) -> bool:
-        if pos == n:
-            return partial == 0
-        c = coeffs[pos]
-        floor = val[prev[pos]] if prev[pos] >= 0 else None
-        for idx, v in enumerate(values):
-            if used_mask >> idx & 1:
-                continue
-            if floor is not None and v <= floor:
-                continue
-            p = partial + c * v
-            if p + lo[pos + 1] > 0 or p + hi[pos + 1] < 0:
-                continue
-            val[pos] = v
-            if rec(pos + 1, p, used_mask | 1 << idx):
-                return True
-        return False
-
-    return rec(0, 0, 0)
+def _members(mask: int) -> tuple[int, ...]:
+    """The set bits of `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def build_hypergraph(
@@ -92,19 +60,37 @@ def build_hypergraph(
 ) -> SolutionHypergraph:
     """Enumerate every forbidden 2k-subset of [1, N].
 
-    One budget unit per subset examined; exceeding the budget raises, and no
-    partial hypergraph is returned.
+    Both halves of the equation carry the coefficients a, so a forbidden set
+    is the union of two disjoint k-tuples x, y with a.x == a.y.  Half-tuples
+    are bucketed by weighted sum and disjoint pairs within a bucket joined.
+
+    One budget unit per half-tuple and per candidate pair; a budget below
+    perm(N, k) raises before anything is enumerated, exceeding it later
+    raises too, and no partial hypergraph is returned.
     """
     if N < 1:
         raise ValidationError("domain bound N must be >= 1")
-    two_k = 2 * eq.k
-    coeffs = eq.full_coefficients()
     wb = WorkBudget(budget)
-    edges = []
-    for subset in itertools.combinations(range(1, N + 1), two_k):
-        wb.spend()
-        if _ordering_exists(subset, coeffs, eq.k):
-            edges.append(subset)
+    if perm(N, eq.k) > budget:
+        raise BudgetExceededError(f"work budget of {budget} steps exhausted")
+    a = sorted(eq.a)
+    # Permuting slots that share a coefficient changes neither the sum nor
+    # the value set, so those slots take increasing values.
+    tied = [i for i in range(1, eq.k) if a[i] == a[i - 1]]
+    buckets: dict[int, list[int]] = {}
+    for x in itertools.permutations(range(1, N + 1), eq.k):
+        if all(x[i - 1] < x[i] for i in tied):
+            bucket = buckets.setdefault(sum(c * v for c, v in zip(a, x)), [])
+            # The new half-tuple, and its candidate pairs with the bucket so far.
+            wb.spend(1 + len(bucket))
+            bucket.append(sum(1 << v for v in x))
+    edge_masks = {
+        m1 | m2
+        for bucket in buckets.values()
+        for m1, m2 in itertools.combinations(bucket, 2)
+        if not m1 & m2
+    }
+    edges = sorted(_members(m) for m in edge_masks)
     incidence: dict[int, list[int]] = {v: [] for v in range(1, N + 1)}
     for e_idx, e in enumerate(edges):
         for v in e:
@@ -148,28 +134,31 @@ def exact_max_solution_free(
     t0 = time.perf_counter()
     H = hypergraph if hypergraph is not None else build_hypergraph(N, eq)
     order = sorted(range(1, N + 1), key=lambda v: (-len(H.incidence[v]), v))
-    finishers: dict[int, list[int]] = {v: [] for v in order}
+    rank = {v: i for i, v in enumerate(order)}
+    # An edge is completed only by its last vertex in branching order, which
+    # becomes blocked when the second-to-last joins a set holding the rest.
+    triggers: list[dict[int, int]] = [{} for _ in order]
     for e in H.edges:
-        e_mask = 0
-        for v in e:
-            e_mask |= 1 << v
-        for v in e:
-            finishers[v].append(e_mask & ~(1 << v))
+        *rest, second, last = sorted(e, key=rank.__getitem__)
+        rest_mask = sum(1 << u for u in rest)
+        by_rest = triggers[rank[second]]
+        by_rest[rest_mask] = by_rest.get(rest_mask, 0) | 1 << last
+    trigger_lists = [list(t.items()) for t in triggers]
 
     best_size = 0
     best_mask = 0
     if initial_witness is not None:
         best_size = len(initial_witness.elements)
-        for v in initial_witness.elements:
-            best_mask |= 1 << v
-    state = {"nodes": 0, "exact": True}
+        best_mask = sum(1 << v for v in initial_witness.elements)
+    nodes = 0
+    exact = True
     n_order = len(order)
 
-    def rec(i: int, chosen: int, count: int) -> None:
-        nonlocal best_size, best_mask
-        state["nodes"] += 1
-        if state["nodes"] > budget:
-            state["exact"] = False
+    def rec(i: int, chosen: int, blocked: int, count: int) -> None:
+        nonlocal best_size, best_mask, nodes, exact
+        nodes += 1
+        if nodes > budget:
+            exact = False
             raise _SearchDone
         if count > best_size:
             best_size = count
@@ -179,17 +168,22 @@ def exact_max_solution_free(
         if i == n_order or count + (n_order - i) <= best_size:
             return
         v = order[i]
-        if all((chosen & m) != m for m in finishers[v]):
-            rec(i + 1, chosen | 1 << v, count + 1)
-        rec(i + 1, chosen, count)
+        if not blocked >> v & 1:
+            grown = blocked
+            for rest_mask, bits in trigger_lists[i]:
+                if (chosen & rest_mask) == rest_mask:
+                    grown |= bits
+            rec(i + 1, chosen | 1 << v, grown, count + 1)
+        rec(i + 1, chosen, blocked, count)
 
     try:
-        rec(0, 0, 0)
+        rec(0, 0, 0, 0)
     except _SearchDone:
         pass
+    finally:
+        del rec  # break the closure's self-reference cycle
 
-    values = [v for v in range(1, N + 1) if best_mask >> v & 1]
-    witness = make_set(values, N)
+    witness = make_set(_members(best_mask), N)
     if not is_solution_free(witness, eq):
         raise InvariantViolation("search produced a witness that is not solution-free")
     if len(witness.elements) != best_size:
@@ -198,8 +192,8 @@ def exact_max_solution_free(
     return SearchResult(
         size=best_size,
         witness=witness,
-        exact=state["exact"],
-        nodes_explored=state["nodes"],
+        exact=exact,
+        nodes_explored=nodes,
         time_ms=elapsed,
     )
 

@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -48,7 +50,12 @@ def test_hypergraph_small_examples():
 
 
 def test_hypergraph_matches_permutation_oracle():
-    for eq_text, n_max in (("1,1", 9), ("1,2", 9), ("1,1,1", 8), ("1,2,2", 8)):
+    cases = (
+        ("1,1", 9), ("1,2", 9), ("1,1,1", 8), ("1,2,2", 8),
+        # signed and repeated coefficients exercise the half-tuple canonical form
+        ("1,-1", 8), ("1,-2", 8), ("3,-5", 8), ("-1,-1", 8), ("1,1,2", 8), ("2,-1,3", 8),
+    )
+    for eq_text, n_max in cases:
         eq = parse_equation(eq_text)
         full = eq.full_coefficients()
         for n in range(1, n_max + 1):
@@ -66,6 +73,19 @@ def test_hypergraph_budget():
         build_hypergraph(10, EQ11, budget=5)
     with pytest.raises(ValidationError):
         build_hypergraph(0, EQ11)
+
+
+def test_hypergraph_budget_checked_before_enumeration():
+    # perm(2000, 2) exceeds the budget, so nothing is enumerated; spending
+    # per half-tuple alone would first hold tens of thousands of them.
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            build_hypergraph(2000, EQ11, budget=10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_exact_max_matches_power_set_oracle():
@@ -103,6 +123,33 @@ def test_exact_max_accepts_prebuilt_hypergraph():
     reused = exact_max_solution_free(12, EQ11, hypergraph=H)
     assert (fresh.size, tuple(fresh.witness)) == (reused.size, tuple(reused.witness))
     assert fresh.nodes_explored == reused.nodes_explored == 1201
+
+
+def test_exact_max_node_counts_pinned():
+    # (size, nodes explored, edges): the branching order fixes the node count
+    expected = {
+        ("1,1", 24): (7, 113518, 946),
+        ("1,2,2", 14): (6, 4932, 2532),
+        ("1,-2", 20): (7, 14306, 1128),
+        ("2,-1,3", 11): (5, 1385, 462),
+    }
+    for (eq_text, n), want in expected.items():
+        eq = parse_equation(eq_text)
+        H = build_hypergraph(n, eq)
+        res = exact_max_solution_free(n, eq, hypergraph=H)
+        assert res.exact
+        assert (res.size, res.nodes_explored, len(H.edges)) == want
+
+
+def test_exact_max_leaves_no_reference_cycles():
+    exact_max_solution_free(12, EQ11)
+    gc.collect()
+    gc.disable()
+    try:
+        exact_max_solution_free(24, EQ11)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_exact_max_stop_at_short_circuits():
