@@ -31,14 +31,12 @@ from .counting import (
 from .experiments import RnRow, run_bound_report, run_rn_table
 from .fitting import FitResult, fit_exponent
 from .model import (
-    Assignment,
     BudgetExceededError,
     Equation,
     IntegerSet,
     InvariantViolation,
     ParseError,
     ValidationError,
-    assignment_solves,
     make_set,
     parse_equation,
     parse_set_text,
@@ -55,14 +53,12 @@ from .search import (
 )
 from .setops import (
     DilateSpec,
-    DilateSurvey,
     EnergyLowerResult,
     PlunneckeResult,
     TriangleResult,
     cs_energy_lower_check,
     difference,
     dilate,
-    dilate_energy_survey,
     iterated_sumset,
     plunnecke_check,
     run_inequality_trials,
@@ -74,12 +70,10 @@ from .setops import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Assignment",
     "BoundReport",
     "BudgetExceededError",
     "DEFAULT_BUDGET",
     "DilateSpec",
-    "DilateSurvey",
     "EnergyLowerResult",
     "Equation",
     "FitResult",
@@ -95,7 +89,6 @@ __all__ = [
     "SolutionReport",
     "TriangleResult",
     "ValidationError",
-    "assignment_solves",
     "build_hypergraph",
     "check_energy_bounds",
     "count_all_solutions",
@@ -104,7 +97,6 @@ __all__ = [
     "cs_energy_lower_check",
     "difference",
     "dilate",
-    "dilate_energy_survey",
     "energy",
     "exact_max_solution_free",
     "find_distinct_solution",

@@ -93,7 +93,7 @@ def _cmd_count(args) -> int:
     if args.what == "energy":
         out["E"] = count_all_solutions(A, eq)
     elif args.what == "solutions":
-        report = solution_report(A, eq)
+        report = solution_report(A, eq, budget=args.budget)
         out["E"] = report.E
         out["distinct"] = report.distinct
         out["coincident"] = {
@@ -320,9 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rn.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     p_rn.add_argument("--trials", type=int, default=40)
     p_rn.add_argument("--seed", type=int, default=0)
-    fmt = p_rn.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="JSON rows")
-    fmt.add_argument("--csv", action="store_true", help="CSV rows (default)")
+    p_rn.add_argument("--json", action="store_true", help="JSON rows (default CSV)")
     p_rn.set_defaults(func=_cmd_table_rn)
 
     p_fit = sub.add_parser("fit", help="log-log exponent fit of (N, size) points")

@@ -4,8 +4,14 @@ Everything here is integer-exact.  The central object is the representation
 function of a weighted sum system: how many tuples (x1, ..., xl) drawn from
 given sets reach each value of c1*x1 + ... + cl*xl.  Convolving those maps
 gives total solution counts; merging variables gives coincidence counts; a
-signed sum over set partitions (or plain enumeration) gives the count of
-solutions whose 2k values are pairwise different.
+signed sum over set partitions gives the count of solutions whose 2k values
+are pairwise different.
+
+One depth-first walker visits the distinct-valued solutions, a canonical
+member of each orbit of the slot symmetries.  Its first solution is the
+witness that `verify`, the greedy scan and every re-check report; counting
+all of them, times the orbit size, is the enumeration cross-check of the
+partition sum.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .model import (
     BudgetExceededError,
@@ -66,9 +72,6 @@ class RepFunction:
 
     def __getitem__(self, value: int) -> int:
         return self.counts.get(value, 0)
-
-    def support(self) -> list[int]:
-        return sorted(self.counts)
 
 
 def _convolve(counts: dict[int, int], terms: list[int]) -> dict[int, int]:
@@ -174,12 +177,25 @@ def _set_partitions(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _count_distinct_partitions(A: IntegerSet, eq: Equation) -> int:
+def _bell(n: int) -> int:
+    """Number of set partitions of an n-element set, by the Bell triangle."""
+    row = [1]
+    for _ in range(n):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[0]
+
+
+def _count_distinct_partitions(A: IntegerSet, eq: Equation, budget: WorkBudget) -> int:
     coeffs = eq.full_coefficients()
     n = len(coeffs)
     n_a = len(A.elements)
     if n_a < n:
         return 0
+    # One unit per set partition, charged before any partition is listed.
+    budget.spend(_bell(n))
     cache: dict[tuple[int, ...], int] = {}
     total = 0
     for rgs in _set_partitions(n):
@@ -205,53 +221,6 @@ def _count_distinct_partitions(A: IntegerSet, eq: Equation) -> int:
     return total
 
 
-def _count_distinct_enumerate(A: IntegerSet, eq: Equation, budget: WorkBudget) -> int:
-    coeffs = eq.full_coefficients()
-    n = len(coeffs)
-    elems = A.elements
-    if len(elems) < n:
-        return 0
-    elem_set = set(elems)
-    lo = [0] * (n + 1)
-    hi = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        c = coeffs[i]
-        ends = (c * elems[0], c * elems[-1])
-        lo[i] = lo[i + 1] + min(ends)
-        hi[i] = hi[i + 1] + max(ends)
-    used: set[int] = set()
-    count = 0
-
-    def rec(pos: int, partial: int) -> None:
-        nonlocal count
-        if pos == n - 1:
-            c = coeffs[pos]
-            budget.spend()
-            if (-partial) % c == 0:
-                v = -partial // c
-                if v in elem_set and v not in used:
-                    count += 1
-            return
-        c = coeffs[pos]
-        nxt = pos + 1
-        for v in elems:
-            if v in used:
-                continue
-            budget.spend()
-            p = partial + c * v
-            if p + lo[nxt] > 0 or p + hi[nxt] < 0:
-                continue
-            used.add(v)
-            rec(nxt, p)
-            used.discard(v)
-
-    try:
-        rec(0, 0)
-    finally:
-        del rec  # break the closure's self-reference cycle
-    return count
-
-
 def count_distinct_solutions(
     A: IntegerSet,
     eq: Equation,
@@ -261,14 +230,17 @@ def count_distinct_solutions(
     """Ordered 2k-tuples over A solving the equation with pairwise different
     values.
 
-    method "enumerate" walks tuples directly under a step budget; method
+    method "enumerate" walks the canonical solutions, one per orbit of the
+    slot symmetries, and multiplies their number by the orbit size; method
     "inclusion_exclusion" sums merged-variable counts over all set partitions
-    of the 2k slots with signed factorial weights.  Both are exact.
+    of the 2k slots with signed factorial weights.  Both are exact and run
+    under a step budget.
     """
     if method == "enumerate":
-        return _count_distinct_enumerate(A, eq, WorkBudget(budget))
+        walk = _search_witness(A.elements, eq, None, None, WorkBudget(budget))
+        return _symmetry_order(eq) * sum(1 for _ in walk)
     if method == "inclusion_exclusion":
-        return _count_distinct_partitions(A, eq)
+        return _count_distinct_partitions(A, eq, WorkBudget(budget))
     raise ValidationError(f"unknown method {method!r}")
 
 
@@ -297,6 +269,22 @@ def _order_constraints(coeffs: tuple[int, ...], k: int, pinned: int | None) -> l
     return prev
 
 
+def _symmetry_order(eq: Equation) -> int:
+    """Size of the slot-symmetry group whose orbits `_order_constraints`
+    picks one member from.
+
+    The group permutes slots sharing a coefficient, doubled by the half-swap
+    when the constraints break that symmetry too.  It moves every tuple of
+    pairwise different values, so each orbit of distinct-valued solutions has
+    exactly this many members.
+    """
+    coeffs = eq.full_coefficients()
+    order = math.prod(math.factorial(coeffs.count(c)) for c in set(coeffs))
+    if _order_constraints(coeffs, eq.k, None)[eq.k] == 0:
+        order *= 2
+    return order
+
+
 def _pinned_representatives(coeffs: tuple[int, ...]) -> list[int]:
     """One position per coefficient magnitude.
 
@@ -319,35 +307,37 @@ def _search_witness(
     pinned_pos: int | None,
     pinned_value: int | None,
     budget: WorkBudget,
-) -> tuple[int, ...] | None:
-    """Depth-first search for one distinct-valued solution.
+) -> Iterator[tuple[int, ...]]:
+    """Depth-first walk over the canonical distinct-valued solutions.
 
-    Values for all but the pinned position are drawn from `elements`.  The
-    last two positions are completed through a pair-sum index instead of two
-    nested loops.  Returns the solution tuple in slot order, or None.
+    Values for all but the pinned position are drawn from `elements`, and
+    every solution yielded meets `_order_constraints`, so each orbit of the
+    slot symmetries is yielded once.  The last two positions are completed
+    through a pair-sum index instead of two nested loops, whose |A|(|A|-1)
+    entries are charged to the budget before it is built.  Yields solution
+    tuples in slot order.
     """
     coeffs = eq.full_coefficients()
     n = len(coeffs)
     need = n if pinned_pos is None else n - 1
     if len(elements) < need:
-        return None
+        return
     elems = elements
     prev = _order_constraints(coeffs, eq.k, pinned_pos)
 
+    # The pinned term sits in every partial sum from the start, so the
+    # suffix bounds leave it out.
     lo = [0] * (n + 1)
     hi = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
-        c = coeffs[i]
-        if i == pinned_pos:
-            lo[i] = lo[i + 1] + c * pinned_value
-            hi[i] = hi[i + 1] + c * pinned_value
-        else:
-            ends = (c * elems[0], c * elems[-1])
-            lo[i] = lo[i + 1] + min(ends)
-            hi[i] = hi[i + 1] + max(ends)
+        c = 0 if i == pinned_pos else coeffs[i]
+        ends = (c * elems[0], c * elems[-1])
+        lo[i] = lo[i + 1] + min(ends)
+        hi[i] = hi[i + 1] + max(ends)
 
     # Representative positions sit in the first half, so the final two slots
     # are never pinned and the pair index below always applies to them.
+    budget.spend(len(elems) * (len(elems) - 1))
     cp, cq = coeffs[n - 2], coeffs[n - 1]
     pair_index: dict[int, list[tuple[int, int]]] = {}
     for x in elems:
@@ -357,31 +347,18 @@ def _search_witness(
 
     val = [0] * n
     used: set[int] = set()
+    partial0 = 0
     if pinned_pos is not None:
         val[pinned_pos] = pinned_value
         used.add(pinned_value)
+        partial0 = coeffs[pinned_pos] * pinned_value
+    free = [p for p in range(n - 2) if p != pinned_pos]
+    last = len(free) - 1
     prev_pen = prev[n - 2]
     prev_last = prev[n - 1]
 
-    def rec(pos: int, partial: int) -> tuple[int, ...] | None:
-        if pos == n - 2:
-            for x, y in pair_index.get(-partial, ()):
-                budget.spend()
-                if x in used or y in used:
-                    continue
-                if prev_pen >= 0 and x <= val[prev_pen]:
-                    continue
-                if prev_last == n - 2:
-                    if y <= x:
-                        continue
-                elif prev_last >= 0 and y <= val[prev_last]:
-                    continue
-                val[n - 2] = x
-                val[n - 1] = y
-                return tuple(val)
-            return None
-        if pos == pinned_pos:
-            return rec(pos + 1, partial + coeffs[pos] * pinned_value)
+    def rec(depth: int, partial: int) -> Iterator[tuple[int, ...]]:
+        pos = free[depth]
         c = coeffs[pos]
         nxt = pos + 1
         start = 0
@@ -397,14 +374,29 @@ def _search_witness(
                 continue
             val[pos] = v
             used.add(v)
-            hit = rec(nxt, p)
+            if depth < last:
+                yield from rec(depth + 1, p)
+            else:
+                # The last free slot completes through the pair index in
+                # place, with no generator per candidate value.
+                for x, y in pair_index.get(-p, ()):
+                    budget.spend()
+                    if x in used or y in used:
+                        continue
+                    if prev_pen >= 0 and x <= val[prev_pen]:
+                        continue
+                    if prev_last == n - 2:
+                        if y <= x:
+                            continue
+                    elif prev_last >= 0 and y <= val[prev_last]:
+                        continue
+                    val[n - 2] = x
+                    val[n - 1] = y
+                    yield tuple(val)
             used.discard(v)
-            if hit is not None:
-                return hit
-        return None
 
     try:
-        return rec(0, 0)
+        yield from rec(0, partial0)
     finally:
         del rec  # break the closure's self-reference cycle
 
@@ -413,7 +405,7 @@ def find_distinct_solution(
     A: IntegerSet, eq: Equation, budget: int = DEFAULT_BUDGET
 ) -> tuple[int, ...] | None:
     """One distinct-valued solution over A in slot order, or None."""
-    return _search_witness(A.elements, eq, None, None, WorkBudget(budget))
+    return next(_search_witness(A.elements, eq, None, None, WorkBudget(budget)), None)
 
 
 def is_solution_free(A: IntegerSet, eq: Equation, budget: int = DEFAULT_BUDGET) -> bool:
@@ -433,7 +425,7 @@ def has_distinct_solution_using(
     wb = WorkBudget(budget)
     coeffs = eq.full_coefficients()
     for pos in _pinned_representatives(coeffs):
-        if _search_witness(A.elements, eq, pos, value, wb) is not None:
+        if next(_search_witness(A.elements, eq, pos, value, wb), None) is not None:
             return True
     return False
 
@@ -448,11 +440,16 @@ class SolutionReport:
     coincident: dict[tuple[int, int], int]
 
 
-def solution_report(A: IntegerSet, eq: Equation) -> SolutionReport:
-    """Assemble and cross-validate the full count family for A."""
+def solution_report(
+    A: IntegerSet, eq: Equation, budget: int = DEFAULT_BUDGET
+) -> SolutionReport:
+    """Assemble and cross-validate the full count family for A.  The budget
+    bounds the inclusion-exclusion sum behind the distinct-valued count."""
     two_k = 2 * eq.k
     E = count_all_solutions(A, eq)
-    distinct = count_distinct_solutions(A, eq, method="inclusion_exclusion")
+    distinct = count_distinct_solutions(
+        A, eq, method="inclusion_exclusion", budget=budget
+    )
     coincident = {
         (i, j): count_coincident(A, eq, i, j)
         for i in range(1, two_k + 1)

@@ -29,15 +29,6 @@ class RnRow:
     witness: tuple[int, ...]
 
 
-def _sub_hypergraph(full: SolutionHypergraph, N: int) -> SolutionHypergraph:
-    edges = [e for e in full.edges if e[-1] <= N]
-    incidence: dict[int, list[int]] = {v: [] for v in range(1, N + 1)}
-    for e_idx, e in enumerate(edges):
-        for v in e:
-            incidence[v].append(e_idx)
-    return SolutionHypergraph(N=N, k=full.k, edges=edges, incidence=incidence)
-
-
 def run_rn_table(
     eq: Equation,
     n_max: int,
@@ -73,7 +64,9 @@ def run_rn_table(
                 N,
                 eq,
                 budget=pool,
-                hypergraph=_sub_hypergraph(full, N),
+                hypergraph=SolutionHypergraph(
+                    N, full.k, [e for e in full.edges if e[-1] <= N]
+                ),
                 initial_witness=carried,
                 stop_at=prev_size + 1 if prev_exact else None,
             )

@@ -125,26 +125,6 @@ def make_set(values, domain_bound: int) -> IntegerSet:
     return IntegerSet(tuple(sorted(set(values))), domain_bound)
 
 
-@dataclass(frozen=True)
-class Assignment:
-    """Concrete values (x1, ..., x_{2k}) for one equation's variables."""
-
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-
-
-def assignment_solves(eq: Equation, assignment: Assignment) -> bool:
-    """Whether the assignment satisfies the equation.  Length must be 2k."""
-    coeffs = eq.full_coefficients()
-    if len(assignment.values) != len(coeffs):
-        raise ValidationError(
-            f"assignment has {len(assignment.values)} values, expected {len(coeffs)}"
-        )
-    return sum(c * v for c, v in zip(coeffs, assignment.values)) == 0
-
-
 def parse_set_text(text: str) -> list[int]:
     """Parse a set file: either a JSON array or newline-separated integers."""
     stripped = text.strip()

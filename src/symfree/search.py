@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, perm
@@ -37,12 +38,11 @@ DEFAULT_NODE_BUDGET = 5 * 10**6
 
 @dataclass
 class SolutionHypergraph:
-    """Forbidden 2k-subsets of [1, N] with a per-vertex incidence index."""
+    """Forbidden 2k-subsets of [1, N], each an ascending tuple."""
 
     N: int
     k: int
     edges: list[tuple[int, ...]]
-    incidence: dict[int, list[int]]
 
 
 def _members(mask: int) -> tuple[int, ...]:
@@ -91,11 +91,7 @@ def build_hypergraph(
         if not m1 & m2
     }
     edges = sorted(_members(m) for m in edge_masks)
-    incidence: dict[int, list[int]] = {v: [] for v in range(1, N + 1)}
-    for e_idx, e in enumerate(edges):
-        for v in e:
-            incidence[v].append(e_idx)
-    return SolutionHypergraph(N=N, k=eq.k, edges=edges, incidence=incidence)
+    return SolutionHypergraph(N=N, k=eq.k, edges=edges)
 
 
 @dataclass(frozen=True)
@@ -133,7 +129,8 @@ def exact_max_solution_free(
     """
     t0 = time.perf_counter()
     H = hypergraph if hypergraph is not None else build_hypergraph(N, eq)
-    order = sorted(range(1, N + 1), key=lambda v: (-len(H.incidence[v]), v))
+    degree = Counter(itertools.chain.from_iterable(H.edges))
+    order = sorted(range(1, N + 1), key=lambda v: (-degree[v], v))
     rank = {v: i for i, v in enumerate(order)}
     # An edge is completed only by its last vertex in branching order, which
     # becomes blocked when the second-to-last joins a set holding the rest.

@@ -211,39 +211,6 @@ def cs_energy_lower_check(sets: Sequence[tuple[IntegerSet, int]]) -> EnergyLower
     )
 
 
-@dataclass(frozen=True)
-class DilateSurvey:
-    """Normalized energies of two dilate systems over the same base set.
-    Reported as exact rationals; nothing is asserted about their order."""
-
-    n: int
-    energy_t: int
-    energy_s: int
-    c_t: Fraction
-    c_s: Fraction
-
-
-def dilate_energy_survey(A: IntegerSet, t_spec, s_spec) -> DilateSurvey:
-    if not isinstance(t_spec, DilateSpec):
-        t_spec = DilateSpec(tuple(t_spec))
-    if not isinstance(s_spec, DilateSpec):
-        s_spec = DilateSpec(tuple(s_spec))
-    n = len(_elements(A))
-    if n == 0:
-        raise ValidationError("set operations need nonempty sets")
-    sys_t = [(A, c) for c in t_spec.s]
-    sys_s = [(A, c) for c in s_spec.s]
-    e_t = energy(sys_t, sys_t)
-    e_s = energy(sys_s, sys_s)
-    return DilateSurvey(
-        n=n,
-        energy_t=e_t,
-        energy_s=e_s,
-        c_t=Fraction(e_t, n ** (2 * len(t_spec.s) - 1)),
-        c_s=Fraction(e_s, n ** (2 * len(s_spec.s) - 1)),
-    )
-
-
 def sample_integer_set(rng: random.Random, span: int, density: float) -> IntegerSet:
     """Random nonempty subset of [1, span]; each element kept with the given
     probability, one uniform element forced in when the draw comes up empty."""

@@ -174,17 +174,6 @@ def test_table_rn_csv(capsys):
     )
 
 
-def test_table_rn_explicit_csv_flag(capsys):
-    code, default_out, _ = run_cli(capsys, ["table", "rn", "--eq", "1,1", "--N", "6"])
-    assert code == 0
-    code, csv_out, _ = run_cli(capsys, ["table", "rn", "--eq", "1,1", "--N", "6", "--csv"])
-    assert code == 0
-    assert csv_out == default_out
-    with pytest.raises(SystemExit) as exc:
-        main(["table", "rn", "--eq", "1,1", "--N", "6", "--csv", "--json"])
-    assert exc.value.code == 2
-
-
 def test_table_rn_json_matches_csv(capsys):
     code, out, _ = run_cli(capsys, ["table", "rn", "--eq", "1,1", "--N", "8", "--json"])
     assert code == 0
@@ -226,16 +215,22 @@ def test_exit_code_validation(capsys, set_file):
     assert code == 2 and out == "" and err.startswith("error:")
     code, _, err = run_cli(capsys, ["count", "energy", "--eq", "1,1", "--set", "/no/such/file"])
     assert code == 2 and err.startswith("error:")
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "rn", "--eq", "1,1", "--N", "6", "--csv"])
+    assert exc.value.code == 2
 
 
 def test_exit_code_budget(capsys, set_file):
     path = set_file("a.txt", range(1, 9))
-    argv = [
-        "count", "distinct", "--eq", "1,1", "--set", path,
-        "--method", "enumerate", "--budget", "1",
-    ]
-    code, out, err = run_cli(capsys, argv)
-    assert code == 3 and out == "" and err.startswith("error:")
+    for cmd in (
+        ["count", "distinct", "--method", "enumerate"],
+        ["count", "distinct", "--method", "inclusion_exclusion"],
+        ["count", "solutions"],
+        ["verify", "solution-free"],
+    ):
+        argv = cmd + ["--eq", "1,1", "--set", path, "--budget", "1"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 3 and out == "" and err.startswith("error:"), cmd
 
 
 def test_check_inequalities_failure_maps_to_exit_4(capsys, monkeypatch):

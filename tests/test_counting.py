@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -21,10 +22,15 @@ from symfree import (
 EQ11 = parse_equation("1,1")
 EQ111 = parse_equation("1,1,1")
 EQ122 = parse_equation("1,2,2")
+# Signed and repeated coefficients: orbit sizes with and without the
+# half-swap, and coefficient classes that differ only in sign.
+MIXED = [
+    parse_equation(t) for t in ("1,2", "1,-1", "3,-5", "-1,-1", "1,1,2", "2,-1,3")
+]
 
 
 def _random_case(rng):
-    eq = rng.choice([EQ11, EQ111, EQ122])
+    eq = rng.choice([EQ11, EQ111, EQ122, *MIXED])
     size = rng.randint(1, 6)
     A = make_set(rng.sample(range(1, 9), size), 8)
     return A, eq
@@ -157,6 +163,24 @@ def test_enumerate_budget_is_an_error_not_an_estimate():
     A = make_set(range(1, 9), 8)
     with pytest.raises(BudgetExceededError):
         count_distinct_solutions(A, EQ111, method="enumerate", budget=10)
+
+
+def test_budget_checked_before_large_allocations():
+    # The witness walk charges its |A|(|A|-1)-entry pair index, and the
+    # partition sum its Bell(2k) partitions, before building either.
+    A = make_set(range(1, 601), 600)  # a 359,400-entry pair index
+    B = make_set(range(1, 11), 10)
+    eq5 = parse_equation("1,1,1,1,1")  # Bell(10) = 115,975 partitions
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            find_distinct_solution(A, EQ11, budget=1)
+        with pytest.raises(BudgetExceededError):
+            count_distinct_solutions(B, eq5, method="inclusion_exclusion", budget=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_is_solution_free_examples():

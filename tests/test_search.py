@@ -8,6 +8,7 @@ from oracles import brute_edges, brute_max_pair_sum_free
 from symfree import (
     BudgetExceededError,
     ValidationError,
+    find_distinct_solution,
     make_set,
     parse_equation,
 )
@@ -60,12 +61,6 @@ def test_hypergraph_matches_permutation_oracle():
         full = eq.full_coefficients()
         for n in range(1, n_max + 1):
             assert build_hypergraph(n, eq).edges == brute_edges(n, full)
-
-
-def test_hypergraph_incidence_index():
-    H = build_hypergraph(6, EQ11)
-    for v in range(1, 7):
-        assert H.incidence[v] == [i for i, e in enumerate(H.edges) if v in e]
 
 
 def test_hypergraph_budget():
@@ -147,6 +142,8 @@ def test_exact_max_leaves_no_reference_cycles():
     gc.disable()
     try:
         exact_max_solution_free(24, EQ11)
+        # So must a witness walk abandoned at its first solution.
+        assert find_distinct_solution(make_set(range(1, 30), 30), EQ11) is not None
         assert gc.collect() == 0
     finally:
         gc.enable()

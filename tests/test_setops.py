@@ -9,7 +9,6 @@ from symfree import (
     cs_energy_lower_check,
     difference,
     dilate,
-    dilate_energy_survey,
     iterated_sumset,
     make_set,
     plunnecke_check,
@@ -136,15 +135,6 @@ def test_cs_energy_pair_example():
     res = cs_energy_lower_check([(A, 1), (A, 1)])
     assert (res.E, res.sumset_size, res.product_sq) == (19, 5, 81)
     assert res.holds
-
-
-def test_dilate_energy_survey():
-    A = make_set(range(1, 6), 5)
-    survey = dilate_energy_survey(A, [1, 1], [1, 1])
-    assert survey.energy_t == survey.energy_s == 85
-    assert survey.c_t == survey.c_s
-    single = dilate_energy_survey(make_set([7], 7), [2], [1, 3])
-    assert single.energy_t == 1 and single.energy_s == 1
 
 
 def test_sample_integer_set_never_empty():
