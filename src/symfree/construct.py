@@ -97,8 +97,9 @@ def greedy_solution_free(
     elif order != "ascending":
         raise ValidationError(f"unknown order {order!r}")
     chosen: list[int] = []
+    current = make_set(chosen, N)
     for x in candidates:
-        current = make_set(chosen, N)
         if not has_distinct_solution_using(current, eq, x, budget=budget):
             chosen.append(x)
-    return make_set(chosen, N)
+            current = make_set(chosen, N)
+    return current

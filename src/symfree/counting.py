@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .model import (
@@ -147,34 +146,56 @@ def count_coincident(A: IntegerSet, eq: Equation, i: int, j: int) -> int:
         raise ValidationError(f"need 1 <= i < j <= {two_k}, got ({i}, {j})")
     if not A.elements:
         return 0
-    coeffs = eq.full_coefficients()
-    merged = coeffs[i - 1] + coeffs[j - 1]
-    rest = [c for pos, c in enumerate(coeffs, start=1) if pos not in (i, j)]
-    free = 0
-    if merged == 0:
-        free = 1
-    else:
-        rest.append(merged)
+    rest, free = _merged_coefficients(eq, i, j)
     r = rep_function([A] * len(rest), rest)
     return len(A.elements) ** free * r.counts.get(0, 0)
 
 
-@lru_cache(maxsize=None)
-def _set_partitions(n: int) -> tuple[tuple[int, ...], ...]:
-    """All partitions of range(n), encoded as restricted growth strings."""
-    out: list[tuple[int, ...]] = []
+def _merged_coefficients(eq: Equation, i: int, j: int) -> tuple[list[int], int]:
+    """The coefficients left once slots i and j merge, and how many free
+    variables (0 or 1) the merge leaves."""
+    coeffs = eq.full_coefficients()
+    merged = coeffs[i - 1] + coeffs[j - 1]
+    rest = [c for pos, c in enumerate(coeffs, start=1) if pos not in (i, j)]
+    if merged == 0:
+        return rest, 1
+    return rest + [merged], 0
+
+
+def _rep_cost(A: IntegerSet, coeffs: Sequence[int]) -> int:
+    """Upper bound on the (partial sum, term) pairs that rep_function over
+    copies of A visits: each step pairs every partial sum with every element,
+    and the partial sums fit in the range the coefficients span so far."""
+    n = len(A.elements)
+    width = A.elements[-1] - A.elements[0] if n else 0
+    cost, support, span = 0, 1, 0
+    for c in coeffs:
+        cost += support * n
+        span += abs(c) * width
+        support = min(support * n, span + 1)
+    return cost
+
+
+def _set_partitions(n: int) -> Iterator[tuple[int, ...]]:
+    """Every partition of range(n) as a restricted growth string, in
+    lexicographic order, built one at a time."""
+    if n == 0:
+        yield ()
+        return
     a = [0] * n
-
-    def rec(i: int, width: int) -> None:
-        if i == n:
-            out.append(tuple(a))
+    top = [0] * n  # top[i] = max(a[: i + 1])
+    while True:
+        yield tuple(a)
+        i = n - 1
+        while i > 0 and a[i] > top[i - 1]:
+            i -= 1
+        if i == 0:
             return
-        for b in range(width + 1):
-            a[i] = b
-            rec(i + 1, width if b < width else width + 1)
-
-    rec(0, 0)
-    return tuple(out)
+        a[i] += 1
+        top[i] = max(top[i - 1], a[i])
+        for j in range(i + 1, n):
+            a[j] = 0
+            top[j] = top[i]
 
 
 def _bell(n: int) -> int:
@@ -443,18 +464,20 @@ class SolutionReport:
 def solution_report(
     A: IntegerSet, eq: Equation, budget: int = DEFAULT_BUDGET
 ) -> SolutionReport:
-    """Assemble and cross-validate the full count family for A.  The budget
-    bounds the inclusion-exclusion sum behind the distinct-valued count."""
+    """Assemble and cross-validate the full count family for A.  One budget
+    covers the convolutions behind E and every coincidence count, charged
+    before any is done, and the inclusion-exclusion sum behind the
+    distinct-valued count."""
     two_k = 2 * eq.k
-    E = count_all_solutions(A, eq)
-    distinct = count_distinct_solutions(
-        A, eq, method="inclusion_exclusion", budget=budget
+    pairs = [(i, j) for i in range(1, two_k + 1) for j in range(i + 1, two_k + 1)]
+    wb = WorkBudget(budget)
+    wb.spend(
+        _rep_cost(A, eq.a)
+        + sum(_rep_cost(A, _merged_coefficients(eq, i, j)[0]) for i, j in pairs)
     )
-    coincident = {
-        (i, j): count_coincident(A, eq, i, j)
-        for i in range(1, two_k + 1)
-        for j in range(i + 1, two_k + 1)
-    }
+    E = count_all_solutions(A, eq)
+    distinct = _count_distinct_partitions(A, eq, wb)
+    coincident = {(i, j): count_coincident(A, eq, i, j) for i, j in pairs}
     if distinct > E:
         raise InvariantViolation("distinct-valued count exceeds the total count")
     if A.elements and E < len(A.elements) ** eq.k:

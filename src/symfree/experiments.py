@@ -5,12 +5,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Equation, IntegerSet, InvariantViolation, ValidationError, make_set
+from .model import Equation, IntegerSet, InvariantViolation, ValidationError
 from .search import (
     DEFAULT_NODE_BUDGET,
     DEFAULT_SUBSET_BUDGET,
     BoundReport,
-    SolutionHypergraph,
     build_hypergraph,
     check_energy_bounds,
     exact_max_solution_free,
@@ -38,57 +37,27 @@ def run_rn_table(
     trials: int = 40,
     seed: int = 0,
 ) -> list[RnRow]:
-    """R(N) for ascending N, exact until the shared node budget runs dry,
-    heuristic lower bounds afterwards.
+    """R(N) for N = 2k-1, ..., n_max: exact rows from one Russian-doll search
+    up to where its node budget runs out, heuristic lower bounds afterwards.
 
-    Rows start at N = 2k-1, the largest N where every subset is trivially
-    solution-free.  Each row's witness carries into the next, so reported
-    sizes never decrease; exact rows additionally stop early at the previous
-    exact size plus one, which is always an upper bound for the next row.
+    Row 2k-1 is the largest N where every subset is trivially solution-free.
+    A heuristic row keeps the previous row's witness unless seeded greedy
+    restarts beat it, so reported sizes never decrease.
     """
-    two_k = 2 * eq.k
-    n0 = two_k - 1
+    n0 = 2 * eq.k - 1
     if n_max < n0:
         raise ValidationError(f"table needs n_max >= {n0}")
     full = build_hypergraph(n_max, eq, budget=subset_budget)
-    pool = node_budget
-    rows: list[RnRow] = []
-    prev_size = 0
-    prev_witness: tuple[int, ...] = ()
-    prev_exact = False
-    for N in range(n0, n_max + 1):
-        carried = make_set(prev_witness, N) if prev_witness else None
-        row: RnRow | None = None
-        if pool > 0:
-            res = exact_max_solution_free(
-                N,
-                eq,
-                budget=pool,
-                hypergraph=SolutionHypergraph(
-                    N, full.k, [e for e in full.edges if e[-1] <= N]
-                ),
-                initial_witness=carried,
-                stop_at=prev_size + 1 if prev_exact else None,
-            )
-            pool -= res.nodes_explored
-            if res.exact:
-                row = RnRow(N=N, size=res.size, exact=True, witness=res.witness.elements)
-            else:
-                pool = 0
-                if res.size > prev_size:
-                    prev_size = res.size
-                    prev_witness = res.witness.elements
-        if row is None:
-            heur = random_restarts(N, eq, trials=trials, seed=seed + N)
-            if heur.size > prev_size:
-                size, witness = heur.size, heur.witness.elements
-            else:
-                size, witness = prev_size, prev_witness
-            row = RnRow(N=N, size=size, exact=False, witness=witness)
-        rows.append(row)
-        prev_size = row.size
-        prev_witness = row.witness
-        prev_exact = row.exact
+    walk = exact_max_solution_free(n_max, eq, budget=node_budget, hypergraph=full)
+    rows = [
+        RnRow(N=N, size=len(w), exact=True, witness=w)
+        for N, w in enumerate(walk.rows, start=1)
+        if N >= n0
+    ]
+    for N in range(len(walk.rows) + 1, n_max + 1):
+        heur = random_restarts(N, eq, trials=trials, seed=seed + N)
+        best = heur.witness.elements if heur.size > rows[-1].size else rows[-1].witness
+        rows.append(RnRow(N=N, size=len(best), exact=False, witness=best))
     return rows
 
 

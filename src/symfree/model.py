@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 
 
@@ -117,7 +118,8 @@ class IntegerSet:
         return iter(self.elements)
 
     def __contains__(self, value) -> bool:
-        return value in set(self.elements)
+        i = bisect_left(self.elements, value)
+        return i < len(self.elements) and self.elements[i] == value
 
 
 def make_set(values, domain_bound: int) -> IntegerSet:

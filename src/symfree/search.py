@@ -2,16 +2,16 @@
 
 A 2k-subset of [1, N] is forbidden when some ordering of its values solves
 the equation; those subsets form a 2k-uniform hypergraph, and solution-free
-sets are exactly its independent sets.  Exact maxima come from depth-first
-branch and bound over that hypergraph; seeded greedy restarts give heuristic
-lower bounds.  Energy bounds tie the search back to the counting layer.
+sets are exactly its independent sets.  Exact maxima come from a
+Russian-doll branch and bound over that hypergraph, which settles R(v) for
+every v up to N; seeded greedy restarts give heuristic lower bounds.
+Energy bounds tie the search back to the counting layer.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, perm
@@ -21,6 +21,7 @@ from .counting import (
     DEFAULT_BUDGET,
     WorkBudget,
     count_all_solutions,
+    has_distinct_solution_using,
     is_solution_free,
 )
 from .model import (
@@ -96,16 +97,18 @@ def build_hypergraph(
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Outcome of a maximum solution-free set search."""
+    """Outcome of a maximum solution-free set search.  `rows[m - 1]` is a
+    maximum free subset of [1, m] for each m the exact search settled."""
 
     size: int
     witness: IntegerSet
     exact: bool
     nodes_explored: int
     time_ms: int
+    rows: tuple[tuple[int, ...], ...] = ()
 
 
-class _SearchDone(Exception):
+class _OutOfNodes(Exception):
     pass
 
 
@@ -115,88 +118,113 @@ def exact_max_solution_free(
     budget: int = DEFAULT_NODE_BUDGET,
     *,
     hypergraph: SolutionHypergraph | None = None,
-    initial_witness: IntegerSet | None = None,
-    stop_at: int | None = None,
 ) -> SearchResult:
-    """Maximum solution-free subset of [1, N] by branch and bound.
+    """Maximum solution-free subset of [1, N] by Russian-doll search.
 
-    Vertices are branched in descending hypergraph degree (ties to the
-    smaller integer), including before excluding, pruning whenever even
-    taking every remaining vertex cannot beat the incumbent.  If the node
-    budget runs out the best set found so far is returned with exact=False.
-    `stop_at` declares a size known to be unbeatable, so reaching it ends the
-    search early while staying exact.  `initial_witness` seeds the incumbent.
+    Symmetric equations are translation-invariant, so a free subset of any m
+    consecutive integers has at most R(m) elements.  R(v) is settled for
+    v = 1, ..., N in turn: R(v) = v below 2k, and row v asks whether a free
+    set of size R(v-1) + 1 exists.  The previous row's witness plus v is
+    tried first.  Failing that, such a set holds 1 and v (else it translates
+    into [1, v-1]), so both are forced in and 2..v-1 branched in ascending
+    order, including before excluding.  A node is pruned once the unblocked
+    candidates from w on, at most R(v-w+1) - 1 of which fit beside v, cannot
+    reach the target.  The first set reaching it ends the row; an exhausted
+    row has R(v) = R(v-1).  If the node budget runs out, the last settled
+    row's witness is returned with exact=False.
     """
     t0 = time.perf_counter()
     H = hypergraph if hypergraph is not None else build_hypergraph(N, eq)
-    degree = Counter(itertools.chain.from_iterable(H.edges))
-    order = sorted(range(1, N + 1), key=lambda v: (-degree[v], v))
-    rank = {v: i for i, v in enumerate(order)}
-    # An edge is completed only by its last vertex in branching order, which
-    # becomes blocked when the second-to-last joins a set holding the rest.
-    triggers: list[dict[int, int]] = [{} for _ in order]
+    if (H.N, H.k) != (N, eq.k):
+        raise ValidationError(f"hypergraph is for N={H.N}, k={H.k}, not N={N}, k={eq.k}")
+    n_rest = 2 * eq.k - 2
+    by_top: list[list[tuple[int, ...]]] = [[] for _ in range(N + 1)]
     for e in H.edges:
-        *rest, second, last = sorted(e, key=rank.__getitem__)
-        rest_mask = sum(1 << u for u in rest)
-        by_rest = triggers[rank[second]]
-        by_rest[rest_mask] = by_rest.get(rest_mask, 0) | 1 << last
-    trigger_lists = [list(t.items()) for t in triggers]
+        by_top[e[-1]].append(e)
+    # trig[w] maps a mask of n_rest chosen vertices to the vertices blocked
+    # once w joins them: an edge is completed only by its last vertex in
+    # branching order, which is blocked when the one before it is included.
+    trig: list[dict[int, int]] = [{} for _ in range(N + 1)]
 
-    best_size = 0
-    best_mask = 0
-    if initial_witness is not None:
-        best_size = len(initial_witness.elements)
-        best_mask = sum(1 << v for v in initial_witness.elements)
+    rows = [tuple(range(1, m + 1)) for m in range(1, min(N, n_rest + 1) + 1)]
     nodes = 0
     exact = True
-    n_order = len(order)
+    target = 0
+    cap: list[int] = []
 
-    def rec(i: int, chosen: int, blocked: int, count: int) -> None:
-        nonlocal best_size, best_mask, nodes, exact
+    def rec(avail: int, levels: list[list[int]]) -> int:
+        # levels[j] holds the masks of the (j+1)-subsets of the chosen set,
+        # so levels[0] holds its vertices.
+        nonlocal nodes
         nodes += 1
         if nodes > budget:
-            exact = False
-            raise _SearchDone
-        if count > best_size:
-            best_size = count
-            best_mask = chosen
-            if stop_at is not None and best_size >= stop_at:
-                raise _SearchDone
-        if i == n_order or count + (n_order - i) <= best_size:
-            return
-        v = order[i]
-        if not blocked >> v & 1:
-            grown = blocked
-            for rest_mask, bits in trigger_lists[i]:
-                if (chosen & rest_mask) == rest_mask:
-                    grown |= bits
-            rec(i + 1, chosen | 1 << v, grown, count + 1)
-        rec(i + 1, chosen, blocked, count)
+            raise _OutOfNodes
+        need = target - len(levels[0])
+        while avail:
+            low = avail & -avail
+            w = low.bit_length() - 1
+            if cap[w] < need or avail.bit_count() < need:
+                return 0
+            if need == 1:
+                return sum(levels[0]) | low
+            avail ^= low
+            get = trig[w].get
+            blocked = 0
+            for rest_mask in levels[-1]:
+                bits = get(rest_mask)
+                if bits:
+                    blocked |= bits
+            add = low.__or__
+            grown = [[*levels[0], low]]
+            for j in range(1, n_rest):
+                grown.append([*levels[j], *map(add, levels[j - 1])])
+            hit = rec(avail & ~blocked, grown)
+            if hit:
+                return hit
+        return 0
 
     try:
-        rec(0, 0, 0, 0)
-    except _SearchDone:
-        pass
+        for v in range(len(rows) + 1, N + 1):
+            prev = rows[-1]
+            target = len(prev) + 1
+            bit_v = 1 << v
+            # Each edge through v as (a, b, mask of the rest), a < b < v.
+            through_v = [(a, b, sum(1 << u for u in rest)) for *rest, a, b, _ in by_top[v]]
+            if not has_distinct_solution_using(make_set(prev, v), eq, v):
+                found = prev + (v,)
+            else:
+                # Edges through v: v is chosen throughout the row, so the
+                # two largest other vertices come last in branching order.
+                for a, b, rest in through_v:
+                    d = trig[a]
+                    d[rest | bit_v] = d.get(rest | bit_v, 0) | 1 << b
+                cap = [0, 0] + [len(rows[v - w]) - 1 for w in range(2, v)]
+                levels = [[2, bit_v], [2 | bit_v]] + [[] for _ in range(n_rest - 2)]
+                hit = rec(bit_v - 4, levels)
+                for a, _, rest in through_v:
+                    trig[a].pop(rest | bit_v, None)
+                found = _members(hit) if hit else None
+            if found and (len(found) != target or not is_solution_free(make_set(found, v), eq)):
+                raise InvariantViolation(
+                    f"row {v} of {eq}: witness {found} is not a free set of size {target}"
+                )
+            rows.append(found or prev)
+            for a, b, rest in through_v:
+                d = trig[b]
+                d[rest | 1 << a] = d.get(rest | 1 << a, 0) | bit_v
+    except _OutOfNodes:
+        exact = False
     finally:
         del rec  # break the closure's self-reference cycle
 
-    witness = make_set(_members(best_mask), N)
-    if not is_solution_free(witness, eq):
-        raise InvariantViolation("search produced a witness that is not solution-free")
-    if len(witness.elements) != best_size:
-        raise InvariantViolation("witness size disagrees with the reported size")
-    elapsed = int((time.perf_counter() - t0) * 1000)
     return SearchResult(
-        size=best_size,
-        witness=witness,
+        size=len(rows[-1]),
+        witness=make_set(rows[-1], N),
         exact=exact,
         nodes_explored=nodes,
-        time_ms=elapsed,
+        time_ms=int((time.perf_counter() - t0) * 1000),
+        rows=tuple(rows),
     )
-
-
-def _trial_seed(seed: int, trial: int) -> int:
-    return seed * 1_000_003 + trial
 
 
 def random_restarts(N: int, eq: Equation, trials: int, seed: int) -> SearchResult:
@@ -204,20 +232,19 @@ def random_restarts(N: int, eq: Equation, trials: int, seed: int) -> SearchResul
     if trials < 1:
         raise ValidationError("trial count must be >= 1")
     t0 = time.perf_counter()
-    best: IntegerSet | None = None
-    for t in range(trials):
-        cand = greedy_solution_free(N, eq, order="shuffle", seed=_trial_seed(seed, t))
-        if best is None or len(cand.elements) > len(best.elements):
-            best = cand
+    scans = (
+        greedy_solution_free(N, eq, order="shuffle", seed=seed * 1_000_003 + t)
+        for t in range(trials)
+    )
+    best = max(scans, key=len)  # the first of the largest
     if not is_solution_free(best, eq):
         raise InvariantViolation("greedy produced a set that is not solution-free")
-    elapsed = int((time.perf_counter() - t0) * 1000)
     return SearchResult(
         size=len(best.elements),
         witness=best,
         exact=False,
         nodes_explored=trials * N,
-        time_ms=elapsed,
+        time_ms=int((time.perf_counter() - t0) * 1000),
     )
 
 

@@ -140,8 +140,7 @@ def test_criterion_7_growth_table_slope():
     assert [r.N for r in rows] == list(range(3, 41))
     for prev, cur in zip(rows, rows[1:]):
         assert prev.size <= cur.size <= prev.size + 1
-    assert all(isinstance(r.exact, bool) for r in rows)
-    assert rows[0].exact
+    assert all(r.exact is True for r in rows)
     fit = fit_exponent([(r.N, r.size) for r in rows if r.N >= 8])
     assert 0.35 <= fit.slope <= 0.65
     for r in rows:

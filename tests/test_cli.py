@@ -109,7 +109,7 @@ def test_search_exact(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["size"] == 5 and data["exact"] is True
-    assert data["nodes_explored"] == 1201
+    assert data["nodes_explored"] == 97
     assert "time_ms" not in data
 
     code, out, _ = run_cli(capsys, ["search", "exact", "--eq", "1,1", "--N", "12", "--timing"])
@@ -231,6 +231,24 @@ def test_exit_code_budget(capsys, set_file):
         argv = cmd + ["--eq", "1,1", "--set", path, "--budget", "1"]
         code, out, err = run_cli(capsys, argv)
         assert code == 3 and out == "" and err.startswith("error:"), cmd
+
+
+def test_count_solutions_budget_charged_before_convolving(capsys, set_file, monkeypatch):
+    import symfree.counting as counting_mod
+
+    calls = []
+    real = counting_mod._convolve
+
+    def spy(counts, terms):
+        calls.append(len(terms))
+        return real(counts, terms)
+
+    monkeypatch.setattr(counting_mod, "_convolve", spy)
+    path = set_file("big.txt", range(1, 1501))
+    argv = ["count", "solutions", "--eq", "1,1", "--set", path, "--budget", "1"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3 and out == "" and err.startswith("error:")
+    assert calls == []
 
 
 def test_check_inequalities_failure_maps_to_exit_4(capsys, monkeypatch):

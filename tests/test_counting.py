@@ -183,6 +183,19 @@ def test_budget_checked_before_large_allocations():
     assert peak < 64 * 1024
 
 
+def test_partition_sum_holds_no_memory_afterwards():
+    # Partitions are listed lazily, so none outlive the count that used them.
+    eq5 = parse_equation("1,1,1,1,1")  # Bell(10) = 115,975 partitions
+    A = make_set(range(1, 11), 10)
+    tracemalloc.start()
+    try:
+        count_distinct_solutions(A, eq5, method="inclusion_exclusion")
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1024 * 1024
+
+
 def test_is_solution_free_examples():
     assert is_solution_free(make_set([1, 2, 3, 4, 5, 6], 6), EQ111)
     assert not is_solution_free(make_set([1, 2, 3, 4, 5, 7], 7), EQ111)

@@ -54,7 +54,8 @@ def test_rn_table_budget_degrades_to_heuristic_rows():
     rows = run_rn_table(EQ11, 14, node_budget=50, trials=5, seed=0)
     flags = [r.exact for r in rows]
     assert True in flags and False in flags
-    # the pool never refills, so exactness cannot come back
+    # the search stops at the first row it cannot settle, so exactness
+    # cannot come back
     assert flags == sorted(flags, reverse=True)
     for prev, cur in zip(rows, rows[1:]):
         assert prev.size <= cur.size

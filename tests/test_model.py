@@ -81,6 +81,12 @@ def test_make_set_idempotent():
     assert again == s
 
 
+def test_integer_set_membership():
+    s = make_set([2, 3, 5, 7, 11], 12)
+    assert [v for v in range(-1, 14) if v in s] == [2, 3, 5, 7, 11]
+    assert 1 not in make_set([], 5)
+
+
 def test_integer_set_rejects_unsorted_tuple():
     with pytest.raises(ValidationError):
         IntegerSet((2, 1), 5)

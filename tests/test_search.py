@@ -9,6 +9,7 @@ from symfree import (
     BudgetExceededError,
     ValidationError,
     find_distinct_solution,
+    is_solution_free,
     make_set,
     parse_equation,
 )
@@ -92,7 +93,7 @@ def test_exact_max_matches_power_set_oracle():
 
 
 def test_exact_max_other_equation_matches_oracle():
-    for eq_text in ("1,1,1", "1,2,2", "2,3"):
+    for eq_text in ("1,1,1", "1,2,2", "2,3", "1,-2", "3,-5", "1,1,2", "2,-1,3"):
         eq = parse_equation(eq_text)
         full = eq.full_coefficients()
         for n in (6, 8):
@@ -117,16 +118,18 @@ def test_exact_max_accepts_prebuilt_hypergraph():
     fresh = exact_max_solution_free(12, EQ11)
     reused = exact_max_solution_free(12, EQ11, hypergraph=H)
     assert (fresh.size, tuple(fresh.witness)) == (reused.size, tuple(reused.witness))
-    assert fresh.nodes_explored == reused.nodes_explored == 1201
+    assert fresh.nodes_explored == reused.nodes_explored == 97
+    with pytest.raises(ValidationError):
+        exact_max_solution_free(11, EQ11, hypergraph=H)
 
 
 def test_exact_max_node_counts_pinned():
     # (size, nodes explored, edges): the branching order fixes the node count
     expected = {
-        ("1,1", 24): (7, 113518, 946),
-        ("1,2,2", 14): (6, 4932, 2532),
-        ("1,-2", 20): (7, 14306, 1128),
-        ("2,-1,3", 11): (5, 1385, 462),
+        ("1,1", 24): (7, 2859, 946),
+        ("1,2,2", 14): (6, 496, 2532),
+        ("1,-2", 20): (7, 356, 1128),
+        ("2,-1,3", 11): (5, 209, 462),
     }
     for (eq_text, n), want in expected.items():
         eq = parse_equation(eq_text)
@@ -149,28 +152,34 @@ def test_exact_max_leaves_no_reference_cycles():
         gc.enable()
 
 
-def test_exact_max_stop_at_short_circuits():
-    base = exact_max_solution_free(12, EQ11)
-    stopped = exact_max_solution_free(12, EQ11, stop_at=5)
-    assert stopped.size == base.size == 5
-    assert stopped.exact
-    assert stopped.nodes_explored < base.nodes_explored
-
-
-def test_exact_max_initial_witness_kept():
-    seed = make_set([1, 2, 3, 5, 8], 12)
-    res = exact_max_solution_free(12, EQ11, initial_witness=seed)
-    assert res.size == 5
-    assert tuple(res.witness) == (1, 2, 3, 5, 8)
+def test_exact_max_rows_pinned():
+    # R(N) of every row, settled in one walk within criterion 7's budget
+    expected = {
+        ("1,1", 40): [1, 2, 3, 3, 4, 4, 4, 5, 5, 5, 5, 5, 6, 6, 6, 6, 6, 6, 7, 7,
+                      7, 7, 7, 7, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 9, 9, 9, 9, 9, 9],
+        ("1,2,2", 18): [1, 2, 3, 4, 5, 5, 5, 6, 6, 6, 6, 6, 6, 6, 6, 6, 7, 7],
+    }
+    for (eq_text, n), sizes in expected.items():
+        eq = parse_equation(eq_text)
+        res = exact_max_solution_free(n, eq, budget=2_000_000)
+        assert res.exact
+        assert [len(w) for w in res.rows] == sizes
+        for m, w in enumerate(res.rows, start=1):
+            assert is_solution_free(make_set(w, m), eq)
+        assert tuple(res.witness) == res.rows[-1]
 
 
 def test_exact_max_budget_exhaustion():
+    # A budget-out returns the witness of the last row settled in full.
     res = exact_max_solution_free(12, EQ11, budget=10)
     assert not res.exact
     assert res.size <= 5
     assert res.nodes_explored == 11
-    empty = exact_max_solution_free(12, EQ11, budget=0)
-    assert (empty.size, tuple(empty.witness), empty.exact) == (0, (), False)
+    assert tuple(res.witness) == res.rows[-1] and len(res.rows) < 12
+    # Rows below 2k need no node; row 4 spends the first one.
+    first = exact_max_solution_free(12, EQ11, budget=0)
+    assert (first.size, tuple(first.witness), first.exact) == (3, (1, 2, 3), False)
+    assert first.nodes_explored == 1
 
 
 def test_random_restarts_deterministic():
