@@ -46,6 +46,8 @@ EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 EXIT_INVARIANT = 4
 
+_LINES_PER_WRITE = 1024
+
 
 def _real(x: float) -> float:
     """Round a real for output: 12 significant digits."""
@@ -81,8 +83,12 @@ def _cmd_construct_ruzsa(args) -> int:
         "predicted_exponent": _real(predicted_exponent(params.d, params.k)),
     }
     _emit_json(header)
-    for v in digit_set.elements:
-        print(v)
+    # One write per block of lines: fast, and the text is never built whole.
+    elements = digit_set.elements
+    sys.stdout.writelines(
+        "\n".join(map(str, elements[i : i + _LINES_PER_WRITE])) + "\n"
+        for i in range(0, len(elements), _LINES_PER_WRITE)
+    )
     return EXIT_OK
 
 
@@ -91,7 +97,7 @@ def _cmd_count(args) -> int:
     A = _load_set(args.set, args.N)
     out = {"eq": eq.text(), "N": A.domain_bound, "size": len(A.elements)}
     if args.what == "energy":
-        out["E"] = count_all_solutions(A, eq)
+        out["E"] = count_all_solutions(A, eq, budget=args.budget)
     elif args.what == "solutions":
         report = solution_report(A, eq, budget=args.budget)
         out["E"] = report.E

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
+from itertools import islice
 
-from .counting import DEFAULT_BUDGET, has_distinct_solution_using
-from .model import Equation, IntegerSet, ValidationError, make_set
+from .counting import DEFAULT_BUDGET, WorkBudget, _pair_index, _solution_through
+from .model import Equation, IntegerSet, ValidationError
 
 
 @dataclass(frozen=True)
@@ -47,25 +49,25 @@ def ruzsa_equation(d: int, k: int) -> Equation:
 def ruzsa_digit_set(params: RuzsaParams) -> IntegerSet:
     """All integers in [1, N] whose base-(d*d*k) digits lie in {0, ..., d-1}.
 
-    Generated by counting digit strings: the j-th member is j written in base
-    d and reread in base d*d*k, which enumerates the set in increasing order
-    without testing individual integers.
+    Built by place doubling: the members below b^t, zero included, are
+    extended to those below b^(t+1) by appending x + dig*b^t for each digit
+    dig = 1, ..., d-1.  Every member below b^t is smaller than b^t, so each
+    appended block stays in increasing order, and each block is cut where it
+    passes N.
     """
     d, b, n = params.d, params.base, params.N
-    elements = []
-    j = 1
-    while True:
-        value = 0
-        place = 1
-        jj = j
-        while jj:
-            value += (jj % d) * place
-            place *= b
-            jj //= d
-        if value > n:
-            break
-        elements.append(value)
-        j += 1
+    elements = [0]
+    place = 1
+    while place <= n:
+        below = len(elements)
+        for dig in range(1, d):
+            shift = dig * place
+            cut = bisect_right(elements, n - shift, 0, below)
+            # Appends after the first `cut` members while reading them, so
+            # no block is copied.
+            elements.extend(x + shift for x in islice(elements, cut))
+        place *= b
+    del elements[0]
     return IntegerSet(tuple(elements), n)
 
 
@@ -96,10 +98,15 @@ def greedy_solution_free(
         random.Random(seed).shuffle(candidates)
     elif order != "ascending":
         raise ValidationError(f"unknown order {order!r}")
+    # The chosen set in increasing order, and its pair index, which is
+    # rebuilt only when a candidate is kept.
     chosen: list[int] = []
-    current = make_set(chosen, N)
+    elements: tuple[int, ...] = ()
+    index: dict[int, list[tuple[int, int]]] = {}
     for x in candidates:
-        if not has_distinct_solution_using(current, eq, x, budget=budget):
-            chosen.append(x)
-            current = make_set(chosen, N)
-    return current
+        wb = WorkBudget(budget)
+        if not _solution_through(elements, eq, x, index, wb):
+            insort(chosen, x)
+            elements = tuple(chosen)
+            index = _pair_index(elements, eq, wb)
+    return IntegerSet(elements, N)

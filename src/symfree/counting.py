@@ -127,10 +127,13 @@ def energy(lhs, rhs) -> int:
     return sum(c * big.counts.get(m, 0) for m, c in small.counts.items())
 
 
-def count_all_solutions(A: IntegerSet, eq: Equation) -> int:
-    """Ordered 2k-tuples over A solving the equation, coincidences allowed."""
+def count_all_solutions(A: IntegerSet, eq: Equation, budget: int = DEFAULT_BUDGET) -> int:
+    """Ordered 2k-tuples over A solving the equation, coincidences allowed.
+    The convolution work is bounded by `_rep_cost` and charged before any
+    is done."""
     if not A.elements:
         return 0
+    WorkBudget(budget).spend(_rep_cost(A, eq.a))
     r = rep_function([A] * eq.k, list(eq.a))
     return sum(c * c for c in r.counts.values())
 
@@ -322,21 +325,43 @@ def _pinned_representatives(coeffs: tuple[int, ...]) -> list[int]:
     return reps
 
 
+def _pair_index(
+    elements: tuple[int, ...], eq: Equation, budget: WorkBudget
+) -> dict[int, list[tuple[int, int]]]:
+    """Ordered pairs of different elements keyed by their weighted sum in the
+    last two slots, each list in lexicographic order.
+
+    The walker completes those two slots with one lookup here.  The index
+    depends only on the set and the equation, so walks over one set can
+    share it; its |A|(|A|-1) entries are charged before it is built.
+    """
+    budget.spend(len(elements) * (len(elements) - 1))
+    cp, cq = eq.full_coefficients()[-2:]
+    index: dict[int, list[tuple[int, int]]] = {}
+    for x in elements:
+        cx = cp * x
+        for y in elements:
+            if x != y:
+                index.setdefault(cx + cq * y, []).append((x, y))
+    return index
+
+
 def _search_witness(
     elements: tuple[int, ...],
     eq: Equation,
     pinned_pos: int | None,
     pinned_value: int | None,
     budget: WorkBudget,
+    pair_index: dict[int, list[tuple[int, int]]] | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Depth-first walk over the canonical distinct-valued solutions.
 
     Values for all but the pinned position are drawn from `elements`, and
     every solution yielded meets `_order_constraints`, so each orbit of the
     slot symmetries is yielded once.  The last two positions are completed
-    through a pair-sum index instead of two nested loops, whose |A|(|A|-1)
-    entries are charged to the budget before it is built.  Yields solution
-    tuples in slot order.
+    through `pair_index`, which is `_pair_index(elements, eq, ...)` and is
+    built here unless the caller shares one.  Yields solution tuples in slot
+    order, lexicographically ascending.
     """
     coeffs = eq.full_coefficients()
     n = len(coeffs)
@@ -344,6 +369,8 @@ def _search_witness(
     if len(elements) < need:
         return
     elems = elements
+    if pair_index is None:
+        pair_index = _pair_index(elems, eq, budget)
     prev = _order_constraints(coeffs, eq.k, pinned_pos)
 
     # The pinned term sits in every partial sum from the start, so the
@@ -356,16 +383,6 @@ def _search_witness(
         lo[i] = lo[i + 1] + min(ends)
         hi[i] = hi[i + 1] + max(ends)
 
-    # Representative positions sit in the first half, so the final two slots
-    # are never pinned and the pair index below always applies to them.
-    budget.spend(len(elems) * (len(elems) - 1))
-    cp, cq = coeffs[n - 2], coeffs[n - 1]
-    pair_index: dict[int, list[tuple[int, int]]] = {}
-    for x in elems:
-        for y in elems:
-            if x != y:
-                pair_index.setdefault(cp * x + cq * y, []).append((x, y))
-
     val = [0] * n
     used: set[int] = set()
     partial0 = 0
@@ -373,6 +390,8 @@ def _search_witness(
         val[pinned_pos] = pinned_value
         used.add(pinned_value)
         partial0 = coeffs[pinned_pos] * pinned_value
+    # Representative positions sit in the first half, so the final two slots
+    # are never pinned and the pair index always applies to them.
     free = [p for p in range(n - 2) if p != pinned_pos]
     last = len(free) - 1
     prev_pen = prev[n - 2]
@@ -381,28 +400,25 @@ def _search_witness(
     def rec(depth: int, partial: int) -> Iterator[tuple[int, ...]]:
         pos = free[depth]
         c = coeffs[pos]
-        nxt = pos + 1
         start = 0
         if prev[pos] >= 0:
             start = bisect_right(elems, val[prev[pos]])
-        for idx in range(start, len(elems)):
-            v = elems[idx]
-            if v in used:
-                continue
-            budget.spend()
-            p = partial + c * v
-            if p + lo[nxt] > 0 or p + hi[nxt] < 0:
-                continue
-            val[pos] = v
-            used.add(v)
-            if depth < last:
-                yield from rec(depth + 1, p)
-            else:
-                # The last free slot completes through the pair index in
-                # place, with no generator per candidate value.
-                for x, y in pair_index.get(-p, ()):
-                    budget.spend()
-                    if x in used or y in used:
+        if depth == last:
+            # The last free slot takes only values whose pair sum is indexed,
+            # found in one filtered pass; the exact lookup subsumes the
+            # suffix bound.
+            budget.spend(len(elems) - start)
+            target = -partial
+            hits = [v for v in elems[start:] if target - c * v in pair_index]
+            for v in hits:
+                if v in used:
+                    continue
+                # Set before the pair's order checks: prev[n - 2] may be pos.
+                val[pos] = v
+                pairs = pair_index[target - c * v]
+                budget.spend(len(pairs))
+                for x, y in pairs:
+                    if x == v or y == v or x in used or y in used:
                         continue
                     if prev_pen >= 0 and x <= val[prev_pen]:
                         continue
@@ -414,6 +430,19 @@ def _search_witness(
                     val[n - 2] = x
                     val[n - 1] = y
                     yield tuple(val)
+            return
+        nxt = pos + 1
+        for idx in range(start, len(elems)):
+            v = elems[idx]
+            if v in used:
+                continue
+            budget.spend()
+            p = partial + c * v
+            if p + lo[nxt] > 0 or p + hi[nxt] < 0:
+                continue
+            val[pos] = v
+            used.add(v)
+            yield from rec(depth + 1, p)
             used.discard(v)
 
     try:
@@ -443,12 +472,25 @@ def has_distinct_solution_using(
     then uses the value exactly once, so only one representative slot per
     coefficient magnitude needs to be searched.
     """
+    if len(A.elements) < 2 * eq.k - 1:
+        return False
     wb = WorkBudget(budget)
-    coeffs = eq.full_coefficients()
-    for pos in _pinned_representatives(coeffs):
-        if next(_search_witness(A.elements, eq, pos, value, wb), None) is not None:
-            return True
-    return False
+    return _solution_through(A.elements, eq, value, _pair_index(A.elements, eq, wb), wb)
+
+
+def _solution_through(
+    elements: tuple[int, ...],
+    eq: Equation,
+    value: int,
+    pair_index: dict[int, list[tuple[int, int]]],
+    budget: WorkBudget,
+) -> bool:
+    """`has_distinct_solution_using` over a prebuilt `_pair_index(elements,
+    eq, ...)`, which the walks of every representative slot share."""
+    return any(
+        next(_search_witness(elements, eq, pos, value, budget, pair_index), None) is not None
+        for pos in _pinned_representatives(eq.full_coefficients())
+    )
 
 
 @dataclass(frozen=True)

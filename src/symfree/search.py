@@ -30,6 +30,7 @@ from .model import (
     IntegerSet,
     InvariantViolation,
     ValidationError,
+    bit_positions,
     make_set,
 )
 
@@ -44,16 +45,6 @@ class SolutionHypergraph:
     N: int
     k: int
     edges: list[tuple[int, ...]]
-
-
-def _members(mask: int) -> tuple[int, ...]:
-    """The set bits of `mask`, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 def build_hypergraph(
@@ -91,7 +82,7 @@ def build_hypergraph(
         for m1, m2 in itertools.combinations(bucket, 2)
         if not m1 & m2
     }
-    edges = sorted(_members(m) for m in edge_masks)
+    edges = sorted(bit_positions(m) for m in edge_masks)
     return SolutionHypergraph(N=N, k=eq.k, edges=edges)
 
 
@@ -203,7 +194,7 @@ def exact_max_solution_free(
                 hit = rec(bit_v - 4, levels)
                 for a, _, rest in through_v:
                     trig[a].pop(rest | bit_v, None)
-                found = _members(hit) if hit else None
+                found = bit_positions(hit) if hit else None
             if found and (len(found) != target or not is_solution_free(make_set(found, v), eq)):
                 raise InvariantViolation(
                     f"row {v} of {eq}: witness {found} is not a free set of size {target}"
@@ -268,13 +259,14 @@ def check_energy_bounds(
     A: IntegerSet, eq: Equation, budget: int = DEFAULT_BUDGET
 ) -> BoundReport:
     """Compare E against M^{2k} / (norm1 * N) from below and, for
-    solution-free sets, against C(2k,2) * M^{2k-2} from above."""
+    solution-free sets, against C(2k,2) * M^{2k-2} from above.  `budget`
+    bounds the convolutions behind E and, separately, the witness search."""
     if not A.elements:
         raise ValidationError("energy bounds need a nonempty set")
     M = len(A.elements)
     N = A.domain_bound
     two_k = 2 * eq.k
-    E = count_all_solutions(A, eq)
+    E = count_all_solutions(A, eq, budget=budget)
     lower = Fraction(M**two_k, eq.norm1 * N)
     lower_holds = E * eq.norm1 * N >= M**two_k
     upper = comb(two_k, 2) * M ** (two_k - 2)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .counting import energy
-from .model import IntegerSet, ValidationError, make_set
+from .model import IntegerSet, ValidationError, bit_positions, make_set
 
 _MASK_SPAN_LIMIT = 1 << 20
 
@@ -57,12 +57,7 @@ def _pair_sums(a: tuple[int, ...], b: tuple[int, ...], sign: int) -> tuple[int, 
         acc = 0
         for w in bb:
             acc |= mask_a << (a[0] + w - lo)
-        out = []
-        while acc:
-            low = acc & -acc
-            out.append(lo + low.bit_length() - 1)
-            acc &= acc - 1
-        return tuple(out)
+        return bit_positions(acc, lo)
     return tuple(sorted({x + w for x in a for w in bb}))
 
 

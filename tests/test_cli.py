@@ -251,6 +251,24 @@ def test_count_solutions_budget_charged_before_convolving(capsys, set_file, monk
     assert calls == []
 
 
+def test_count_energy_budget_charged_before_convolving(capsys, set_file, monkeypatch):
+    import symfree.counting as counting_mod
+
+    calls = []
+    real = counting_mod._convolve
+
+    def spy(counts, terms):
+        calls.append(len(terms))
+        return real(counts, terms)
+
+    monkeypatch.setattr(counting_mod, "_convolve", spy)
+    path = set_file("big.txt", range(1, 1501))
+    argv = ["count", "energy", "--eq", "1,1,1", "--set", path, "--budget", "1"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3 and out == "" and err.startswith("error:")
+    assert calls == []
+
+
 def test_check_inequalities_failure_maps_to_exit_4(capsys, monkeypatch):
     import symfree.cli as cli_mod
 

@@ -77,6 +77,36 @@ def test_digit_set_matches_membership_oracle():
         assert list(ruzsa_digit_set(p)) == digit_members(d, p.base, p.N)
 
 
+def digit_strings(d, base, N):
+    """Reference enumeration: the j-th member is j written in base d and
+    reread in base `base`, for j = 1, 2, ... until a value passes N."""
+    out = []
+    j = 1
+    while True:
+        value, place, jj = 0, 1, j
+        while jj:
+            value += (jj % d) * place
+            place *= base
+            jj //= d
+        if value > N:
+            return out
+        out.append(value)
+        j += 1
+
+
+def test_digit_set_place_boundaries():
+    # Place doubling adds a block at each power of the base and cuts the
+    # block that passes N; check both sides of every such edge.
+    for d, k in ALL_DK:
+        b = d * d * k
+        bounds = {1, d - 1, d, b - 2}
+        for t in (1, 2, 3):
+            bounds |= {b**t - 1, b**t, b**t + 1, d * b**t - 1, d * b**t}
+        for N in sorted(bounds):
+            got = list(ruzsa_digit_set(RuzsaParams(d, k, N)))
+            assert got == digit_strings(d, b, N), (d, k, N)
+
+
 def test_digit_set_elements_are_carry_free():
     for d, k in ((2, 3), (3, 2)):
         p = RuzsaParams(d, k, (d * d * k) ** 3)

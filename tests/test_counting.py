@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 
@@ -12,12 +13,14 @@ from symfree import (
     count_distinct_solutions,
     energy,
     find_distinct_solution,
+    has_distinct_solution_using,
     is_solution_free,
     make_set,
     parse_equation,
     rep_function,
     solution_report,
 )
+from symfree.counting import WorkBudget, _search_witness
 
 EQ11 = parse_equation("1,1")
 EQ111 = parse_equation("1,1,1")
@@ -152,6 +155,67 @@ def test_count_distinct_methods_agree_with_oracle():
         _, expected, _ = brute_counts(A.elements, eq.full_coefficients())
         assert count_distinct_solutions(A, eq, method="enumerate") == expected
         assert count_distinct_solutions(A, eq, method="inclusion_exclusion") == expected
+
+
+def test_k3_enumeration_matches_oracle():
+    # Sets of 7-9 elements from [1, 12] give k=3 solutions, which need the
+    # last free slot and the pair after it checked against each other: for
+    # 1,1,1 the pair's first slot must exceed the last free slot's value.
+    rng = random.Random(23)
+    with_solutions = 0
+    for eq in (EQ111, EQ122, parse_equation("2,-1,3")):
+        for _ in range(4):
+            A = make_set(rng.sample(range(1, 13), rng.randint(7, 9)), 12)
+            _, expected, _ = brute_counts(A.elements, eq.full_coefficients())
+            assert count_distinct_solutions(A, eq, method="enumerate") == expected
+            assert count_distinct_solutions(A, eq, method="inclusion_exclusion") == expected
+            with_solutions += expected > 0
+    assert with_solutions >= 10
+
+
+def _canonical_solutions(elements, eq):
+    """Distinct-valued solutions by permutation scan, kept when increasing
+    across slots sharing a coefficient and, if the first and the (k+1)-th
+    coefficients are each unique, with x_1 < x_{k+1}."""
+    coeffs = eq.full_coefficients()
+    k = eq.k
+    half_swap = coeffs.count(coeffs[0]) == 1 and coeffs.count(coeffs[k]) == 1
+    tied = [(i, j) for i in range(2 * k) for j in range(i + 1, 2 * k) if coeffs[i] == coeffs[j]]
+    out = []
+    for t in itertools.permutations(elements, 2 * k):
+        if sum(c * v for c, v in zip(coeffs, t)) != 0:
+            continue
+        if any(t[i] > t[j] for i, j in tied) or (half_swap and t[0] > t[k]):
+            continue
+        out.append(t)
+    return sorted(out)
+
+
+def test_walk_yields_canonical_solutions_in_lexicographic_order():
+    rng = random.Random(29)
+    for eq in (EQ11, EQ111, EQ122, *MIXED):
+        for _ in range(3):
+            A = make_set(rng.sample(range(1, 13), rng.randint(4, 8)), 12)
+            walk = list(_search_witness(A.elements, eq, None, None, WorkBudget()))
+            assert walk == _canonical_solutions(A.elements, eq)
+            assert find_distinct_solution(A, eq) == (walk[0] if walk else None)
+
+
+def test_pinned_search_matches_oracle_for_two_representative_slots():
+    # 1,2,2 searches the new value at a coefficient-1 slot and at a
+    # coefficient-2 slot, over one pair index shared by both walks.
+    rng = random.Random(31)
+    hits = misses = 0
+    while hits < 8 or misses < 8:
+        A = make_set(rng.sample(range(1, 16), rng.randint(4, 6)), 15)
+        if brute_counts(A.elements, EQ122.full_coefficients())[1]:
+            continue
+        value = rng.choice([v for v in range(1, 16) if v not in A])
+        grown = sorted(A.elements + (value,))
+        expected = brute_counts(grown, EQ122.full_coefficients())[1] > 0
+        assert has_distinct_solution_using(A, EQ122, value) == expected
+        hits += expected
+        misses += not expected
 
 
 def test_count_distinct_unknown_method():

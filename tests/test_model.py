@@ -12,6 +12,7 @@ from symfree import (
     parse_set_text,
     set_text,
 )
+from symfree.model import bit_positions
 
 
 def test_parse_equation_examples():
@@ -85,6 +86,15 @@ def test_integer_set_membership():
     s = make_set([2, 3, 5, 7, 11], 12)
     assert [v for v in range(-1, 14) if v in s] == [2, 3, 5, 7, 11]
     assert 1 not in make_set([], 5)
+
+
+def test_bit_positions_against_shift_scan():
+    rng = random.Random(3)
+    masks = [0, 1, 2, 1 << 70, (1 << 130) - 1] + [rng.getrandbits(rng.randint(1, 300)) for _ in range(50)]
+    for mask in masks:
+        for offset in (0, 7, -40):
+            expected = tuple(i + offset for i in range(mask.bit_length()) if mask >> i & 1)
+            assert bit_positions(mask, offset) == expected
 
 
 def test_integer_set_rejects_unsorted_tuple():

@@ -220,3 +220,19 @@ def test_energy_bounds_interval_set():
 def test_energy_bounds_empty_set():
     with pytest.raises(ValidationError):
         check_energy_bounds(make_set([], 5), EQ11)
+
+
+def test_energy_bounds_budget_charged_before_convolving(monkeypatch):
+    import symfree.counting as counting_mod
+
+    calls = []
+    real = counting_mod._convolve
+
+    def spy(counts, terms):
+        calls.append(len(terms))
+        return real(counts, terms)
+
+    monkeypatch.setattr(counting_mod, "_convolve", spy)
+    with pytest.raises(BudgetExceededError):
+        check_energy_bounds(make_set(range(1, 1501), 1500), parse_equation("1,1,1"), budget=1)
+    assert calls == []
