@@ -7,11 +7,11 @@ gives total solution counts; merging variables gives coincidence counts; a
 signed sum over set partitions gives the count of solutions whose 2k values
 are pairwise different.
 
-One depth-first walker visits the distinct-valued solutions, a canonical
-member of each orbit of the slot symmetries.  Its first solution is the
-witness that `verify`, the greedy scan and every re-check report; counting
-all of them, times the orbit size, is the enumeration cross-check of the
-partition sum.
+One depth-first walker visits the distinct-valued solutions over any given
+set, a canonical member of each orbit of the slot symmetries.  Its first
+solution is the witness that `verify` and every re-check report, and it
+decides whether one added value creates a solution; counting all of them,
+times the orbit size, is the enumeration cross-check of the partition sum.
 """
 
 from __future__ import annotations
@@ -261,35 +261,30 @@ def count_distinct_solutions(
     under a step budget.
     """
     if method == "enumerate":
-        walk = _search_witness(A.elements, eq, None, None, WorkBudget(budget))
+        walk = _search_witness(A.elements, eq, WorkBudget(budget))
         return _symmetry_order(eq) * sum(1 for _ in walk)
     if method == "inclusion_exclusion":
         return _count_distinct_partitions(A, eq, WorkBudget(budget))
     raise ValidationError(f"unknown method {method!r}")
 
 
-def _order_constraints(coeffs: tuple[int, ...], k: int, pinned: int | None) -> list[int]:
+def _order_constraints(coeffs: tuple[int, ...], k: int) -> list[int]:
     """Per-position index of an earlier position whose value must stay
     strictly smaller, or -1.
 
     Positions sharing a coefficient are interchangeable in any solution, so
     their values may be assumed increasing.  When the first and the (k+1)-th
     position each carry a unique coefficient, swapping the two halves of the
-    tuple is also a symmetry, which pins their relative order too.  A pinned
-    position takes part in no constraint.
+    tuple is also a symmetry, which pins their relative order too.
     """
-    n = len(coeffs)
-    prev = [-1] * n
+    prev = [-1] * len(coeffs)
     last_by_coeff: dict[int, int] = {}
     for p, c in enumerate(coeffs):
-        if p == pinned:
-            continue
         if c in last_by_coeff:
             prev[p] = last_by_coeff[c]
         last_by_coeff[c] = p
-    if pinned is None:
-        if coeffs.count(coeffs[0]) == 1 and coeffs.count(coeffs[k]) == 1:
-            prev[k] = 0
+    if coeffs.count(coeffs[0]) == 1 and coeffs.count(coeffs[k]) == 1:
+        prev[k] = 0
     return prev
 
 
@@ -304,106 +299,58 @@ def _symmetry_order(eq: Equation) -> int:
     """
     coeffs = eq.full_coefficients()
     order = math.prod(math.factorial(coeffs.count(c)) for c in set(coeffs))
-    if _order_constraints(coeffs, eq.k, None)[eq.k] == 0:
+    if _order_constraints(coeffs, eq.k)[eq.k] == 0:
         order *= 2
     return order
 
 
-def _pinned_representatives(coeffs: tuple[int, ...]) -> list[int]:
-    """One position per coefficient magnitude.
-
-    A solution placing a value at any position can be rearranged, via
-    equal-coefficient swaps and the half-swap, to place it at the first
-    position carrying that coefficient magnitude.
-    """
-    reps = []
-    seen: set[int] = set()
-    for p, c in enumerate(coeffs):
-        if abs(c) not in seen:
-            seen.add(abs(c))
-            reps.append(p)
-    return reps
-
-
-def _pair_index(
-    elements: tuple[int, ...], eq: Equation, budget: WorkBudget
-) -> dict[int, list[tuple[int, int]]]:
-    """Ordered pairs of different elements keyed by their weighted sum in the
-    last two slots, each list in lexicographic order.
-
-    The walker completes those two slots with one lookup here.  The index
-    depends only on the set and the equation, so walks over one set can
-    share it; its |A|(|A|-1) entries are charged before it is built.
-    """
-    budget.spend(len(elements) * (len(elements) - 1))
-    cp, cq = eq.full_coefficients()[-2:]
-    index: dict[int, list[tuple[int, int]]] = {}
-    for x in elements:
-        cx = cp * x
-        for y in elements:
-            if x != y:
-                index.setdefault(cx + cq * y, []).append((x, y))
-    return index
-
-
 def _search_witness(
-    elements: tuple[int, ...],
-    eq: Equation,
-    pinned_pos: int | None,
-    pinned_value: int | None,
-    budget: WorkBudget,
-    pair_index: dict[int, list[tuple[int, int]]] | None = None,
+    elements: tuple[int, ...], eq: Equation, budget: WorkBudget
 ) -> Iterator[tuple[int, ...]]:
     """Depth-first walk over the canonical distinct-valued solutions.
 
-    Values for all but the pinned position are drawn from `elements`, and
-    every solution yielded meets `_order_constraints`, so each orbit of the
-    slot symmetries is yielded once.  The last two positions are completed
-    through `pair_index`, which is `_pair_index(elements, eq, ...)` and is
-    built here unless the caller shares one.  Yields solution tuples in slot
-    order, lexicographically ascending.
+    Values are drawn from `elements`, and every solution yielded meets
+    `_order_constraints`, so each orbit of the slot symmetries is yielded
+    once.  The last two positions are completed with one lookup in an index
+    of ordered pairs of different elements keyed by their weighted sum in
+    those slots, each list in lexicographic order; its |A|(|A|-1) entries
+    are charged before it is built.  Yields solution tuples in slot order,
+    lexicographically ascending.
     """
     coeffs = eq.full_coefficients()
     n = len(coeffs)
-    need = n if pinned_pos is None else n - 1
-    if len(elements) < need:
-        return
     elems = elements
-    if pair_index is None:
-        pair_index = _pair_index(elems, eq, budget)
-    prev = _order_constraints(coeffs, eq.k, pinned_pos)
+    if len(elems) < n:
+        return
+    budget.spend(len(elems) * (len(elems) - 1))
+    cp, cq = coeffs[-2:]
+    pair_index: dict[int, list[tuple[int, int]]] = {}
+    for x in elems:
+        cx = cp * x
+        for y in elems:
+            if x != y:
+                pair_index.setdefault(cx + cq * y, []).append((x, y))
+    prev = _order_constraints(coeffs, eq.k)
 
-    # The pinned term sits in every partial sum from the start, so the
-    # suffix bounds leave it out.
     lo = [0] * (n + 1)
     hi = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
-        c = 0 if i == pinned_pos else coeffs[i]
-        ends = (c * elems[0], c * elems[-1])
+        ends = (coeffs[i] * elems[0], coeffs[i] * elems[-1])
         lo[i] = lo[i + 1] + min(ends)
         hi[i] = hi[i + 1] + max(ends)
 
     val = [0] * n
     used: set[int] = set()
-    partial0 = 0
-    if pinned_pos is not None:
-        val[pinned_pos] = pinned_value
-        used.add(pinned_value)
-        partial0 = coeffs[pinned_pos] * pinned_value
-    # Representative positions sit in the first half, so the final two slots
-    # are never pinned and the pair index always applies to them.
-    free = [p for p in range(n - 2) if p != pinned_pos]
-    last = len(free) - 1
+    last = n - 3
     prev_pen = prev[n - 2]
     prev_last = prev[n - 1]
 
-    def rec(depth: int, partial: int) -> Iterator[tuple[int, ...]]:
-        pos = free[depth]
+    def rec(pos: int, partial: int) -> Iterator[tuple[int, ...]]:
         c = coeffs[pos]
         start = 0
         if prev[pos] >= 0:
             start = bisect_right(elems, val[prev[pos]])
-        if depth == last:
+        if pos == last:
             # The last free slot takes only values whose pair sum is indexed,
             # found in one filtered pass; the exact lookup subsumes the
             # suffix bound.
@@ -442,11 +389,11 @@ def _search_witness(
                 continue
             val[pos] = v
             used.add(v)
-            yield from rec(depth + 1, p)
+            yield from rec(nxt, p)
             used.discard(v)
 
     try:
-        yield from rec(0, partial0)
+        yield from rec(0, 0)
     finally:
         del rec  # break the closure's self-reference cycle
 
@@ -455,7 +402,7 @@ def find_distinct_solution(
     A: IntegerSet, eq: Equation, budget: int = DEFAULT_BUDGET
 ) -> tuple[int, ...] | None:
     """One distinct-valued solution over A in slot order, or None."""
-    return next(_search_witness(A.elements, eq, None, None, WorkBudget(budget)), None)
+    return next(_search_witness(A.elements, eq, WorkBudget(budget)), None)
 
 
 def is_solution_free(A: IntegerSet, eq: Equation, budget: int = DEFAULT_BUDGET) -> bool:
@@ -468,29 +415,11 @@ def has_distinct_solution_using(
 ) -> bool:
     """Whether A plus `value` gains a distinct-valued solution through it.
 
-    Assumes A itself is solution-free and value is not in A; any new solution
-    then uses the value exactly once, so only one representative slot per
-    coefficient magnitude needs to be searched.
+    Assumes A itself is solution-free; any solution of A plus the value then
+    uses the value, so one walk over their union decides it.
     """
-    if len(A.elements) < 2 * eq.k - 1:
-        return False
-    wb = WorkBudget(budget)
-    return _solution_through(A.elements, eq, value, _pair_index(A.elements, eq, wb), wb)
-
-
-def _solution_through(
-    elements: tuple[int, ...],
-    eq: Equation,
-    value: int,
-    pair_index: dict[int, list[tuple[int, int]]],
-    budget: WorkBudget,
-) -> bool:
-    """`has_distinct_solution_using` over a prebuilt `_pair_index(elements,
-    eq, ...)`, which the walks of every representative slot share."""
-    return any(
-        next(_search_witness(elements, eq, pos, value, budget, pair_index), None) is not None
-        for pos in _pinned_representatives(eq.full_coefficients())
-    )
+    grown = tuple(sorted({*A.elements, value}))
+    return next(_search_witness(grown, eq, WorkBudget(budget)), None) is not None
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,7 @@ from dataclasses import dataclass
 from .model import Equation, IntegerSet, InvariantViolation, ValidationError
 from .search import (
     DEFAULT_NODE_BUDGET,
-    DEFAULT_SUBSET_BUDGET,
     BoundReport,
-    build_hypergraph,
     check_energy_bounds,
     exact_max_solution_free,
     random_restarts,
@@ -33,7 +31,6 @@ def run_rn_table(
     n_max: int,
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    subset_budget: int = DEFAULT_SUBSET_BUDGET,
     trials: int = 40,
     seed: int = 0,
 ) -> list[RnRow]:
@@ -47,8 +44,7 @@ def run_rn_table(
     n0 = 2 * eq.k - 1
     if n_max < n0:
         raise ValidationError(f"table needs n_max >= {n0}")
-    full = build_hypergraph(n_max, eq, budget=subset_budget)
-    walk = exact_max_solution_free(n_max, eq, budget=node_budget, hypergraph=full)
+    walk = exact_max_solution_free(n_max, eq, budget=node_budget)
     rows = [
         RnRow(N=N, size=len(w), exact=True, witness=w)
         for N, w in enumerate(walk.rows, start=1)

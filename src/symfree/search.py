@@ -107,8 +107,6 @@ def exact_max_solution_free(
     N: int,
     eq: Equation,
     budget: int = DEFAULT_NODE_BUDGET,
-    *,
-    hypergraph: SolutionHypergraph | None = None,
 ) -> SearchResult:
     """Maximum solution-free subset of [1, N] by Russian-doll search.
 
@@ -125,9 +123,7 @@ def exact_max_solution_free(
     row's witness is returned with exact=False.
     """
     t0 = time.perf_counter()
-    H = hypergraph if hypergraph is not None else build_hypergraph(N, eq)
-    if (H.N, H.k) != (N, eq.k):
-        raise ValidationError(f"hypergraph is for N={H.N}, k={H.k}, not N={N}, k={eq.k}")
+    H = build_hypergraph(N, eq)
     n_rest = 2 * eq.k - 2
     by_top: list[list[tuple[int, ...]]] = [[] for _ in range(N + 1)]
     for e in H.edges:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -192,3 +193,40 @@ def test_greedy_validation_and_budget():
         greedy_solution_free(5, EQ11, order="descending")
     with pytest.raises(BudgetExceededError):
         greedy_solution_free(20, EQ11, budget=1)
+
+
+def _oracle_scan(N, eq, order, seed):
+    """The greedy scan by brute force: keep x iff the kept values plus x
+    admit no distinct-valued solution on the full tuple grid."""
+    candidates = list(range(1, N + 1))
+    if order == "shuffle":
+        random.Random(seed).shuffle(candidates)
+    kept = []
+    for x in candidates:
+        if not brute_counts(sorted(kept + [x]), eq.full_coefficients())[1]:
+            kept.append(x)
+    return tuple(sorted(kept))
+
+
+def test_greedy_matches_oracle_scan():
+    # The bitsets are updated largest sub-multiset first; smallest first
+    # would let one kept value fill two slots and reject too much.
+    cases = [(t, 24) for t in ("1,1", "1,2", "1,-2", "3,-5", "-1,-1")]
+    cases += [(t, 14) for t in ("1,1,2", "2,-1,3", "1,1,1", "1,2,2", "1,2,3")]
+    for eq_text, N in cases:
+        eq = parse_equation(eq_text)
+        for order, seed in (("ascending", 0), ("shuffle", 1), ("shuffle", 2)):
+            got = tuple(greedy_solution_free(N, eq, order=order, seed=seed))
+            assert got == _oracle_scan(N, eq, order, seed), (eq_text, N, order, seed)
+
+
+def test_greedy_budget_checked_before_allocating():
+    # 10^12 candidates and their bitsets are charged before either exists.
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            greedy_solution_free(10**12, EQ11, budget=10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024

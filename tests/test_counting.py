@@ -196,26 +196,28 @@ def test_walk_yields_canonical_solutions_in_lexicographic_order():
     for eq in (EQ11, EQ111, EQ122, *MIXED):
         for _ in range(3):
             A = make_set(rng.sample(range(1, 13), rng.randint(4, 8)), 12)
-            walk = list(_search_witness(A.elements, eq, None, None, WorkBudget()))
+            walk = list(_search_witness(A.elements, eq, WorkBudget()))
             assert walk == _canonical_solutions(A.elements, eq)
             assert find_distinct_solution(A, eq) == (walk[0] if walk else None)
 
 
 def test_pinned_search_matches_oracle_for_two_representative_slots():
-    # 1,2,2 searches the new value at a coefficient-1 slot and at a
-    # coefficient-2 slot, over one pair index shared by both walks.
+    # The added value may take a slot of any coefficient; these equations
+    # have one to three coefficient magnitudes, some of both signs.
     rng = random.Random(31)
-    hits = misses = 0
-    while hits < 8 or misses < 8:
-        A = make_set(rng.sample(range(1, 16), rng.randint(4, 6)), 15)
-        if brute_counts(A.elements, EQ122.full_coefficients())[1]:
-            continue
-        value = rng.choice([v for v in range(1, 16) if v not in A])
-        grown = sorted(A.elements + (value,))
-        expected = brute_counts(grown, EQ122.full_coefficients())[1] > 0
-        assert has_distinct_solution_using(A, EQ122, value) == expected
-        hits += expected
-        misses += not expected
+    for eq in (EQ122, EQ11, *(parse_equation(t) for t in ("1,-2", "1,1,2", "2,-1,3"))):
+        full = eq.full_coefficients()
+        hits = misses = 0
+        while hits < 8 or misses < 8:
+            A = make_set(rng.sample(range(1, 16), rng.randint(4, 6)), 15)
+            if brute_counts(A.elements, full)[1]:
+                continue
+            value = rng.choice([v for v in range(1, 16) if v not in A])
+            grown = sorted(A.elements + (value,))
+            expected = brute_counts(grown, full)[1] > 0
+            assert has_distinct_solution_using(A, eq, value) == expected, (eq, A, value)
+            hits += expected
+            misses += not expected
 
 
 def test_count_distinct_unknown_method():

@@ -67,8 +67,9 @@ def test_rn_table_deterministic():
 
 
 def test_rn_table_subset_budget():
+    # perm(5000, 2) half-tuples exceed the search's default subset budget.
     with pytest.raises(BudgetExceededError):
-        run_rn_table(EQ11, 12, subset_budget=5)
+        run_rn_table(EQ11, 5000)
 
 
 def test_bound_report_rows_align_with_inputs():

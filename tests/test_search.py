@@ -113,16 +113,6 @@ def test_exact_max_trivial_below_2k():
     assert (res.size, tuple(res.witness), res.exact) == (3, (1, 2, 3), True)
 
 
-def test_exact_max_accepts_prebuilt_hypergraph():
-    H = build_hypergraph(12, EQ11)
-    fresh = exact_max_solution_free(12, EQ11)
-    reused = exact_max_solution_free(12, EQ11, hypergraph=H)
-    assert (fresh.size, tuple(fresh.witness)) == (reused.size, tuple(reused.witness))
-    assert fresh.nodes_explored == reused.nodes_explored == 97
-    with pytest.raises(ValidationError):
-        exact_max_solution_free(11, EQ11, hypergraph=H)
-
-
 def test_exact_max_node_counts_pinned():
     # (size, nodes explored, edges): the branching order fixes the node count
     expected = {
@@ -133,10 +123,9 @@ def test_exact_max_node_counts_pinned():
     }
     for (eq_text, n), want in expected.items():
         eq = parse_equation(eq_text)
-        H = build_hypergraph(n, eq)
-        res = exact_max_solution_free(n, eq, hypergraph=H)
+        res = exact_max_solution_free(n, eq)
         assert res.exact
-        assert (res.size, res.nodes_explored, len(H.edges)) == want
+        assert (res.size, res.nodes_explored, len(build_hypergraph(n, eq).edges)) == want
 
 
 def test_exact_max_leaves_no_reference_cycles():
