@@ -149,7 +149,9 @@ def _cmd_search(args) -> int:
     if args.mode == "exact":
         res = exact_max_solution_free(args.N, eq, budget=args.budget)
     else:
-        res = random_restarts(args.N, eq, trials=args.trials, seed=args.seed)
+        res = random_restarts(
+            args.N, eq, trials=args.trials, seed=args.seed, budget=args.budget
+        )
     _emit_json(_search_json(args, eq, res))
     return EXIT_OK
 

@@ -9,9 +9,13 @@ are pairwise different.
 
 One depth-first walker visits the distinct-valued solutions over any given
 set, a canonical member of each orbit of the slot symmetries.  Its first
-solution is the witness that `verify` and every re-check report, and it
-decides whether one added value creates a solution; counting all of them,
-times the orbit size, is the enumeration cross-check of the partition sum.
+solution is the witness that `verify` reports, it decides whether one added
+value creates a solution, and counting all of them, times the orbit size,
+is the enumeration cross-check of the partition sum.  Whether a whole set
+is free is decided by a numpy join of its half-tuples on their weighted
+sums, which is exhaustive at array speed where the walk on a free set is
+exhaustive in Python; the walker runs first only while it is no dearer than
+the join, and again after it to produce the witness.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .model import (
     BudgetExceededError,
@@ -398,16 +404,134 @@ def _search_witness(
         del rec  # break the closure's self-reference cycle
 
 
+def _half_tuple_count(n: int, a: Sequence[int]) -> int:
+    """Number of half-tuples over n values: k distinct values placed in the
+    k slots of `a`, increasing across slots that share a coefficient."""
+    count = math.perm(n, len(a))
+    for c in set(a):
+        count //= math.factorial(a.count(c))
+    return count
+
+
+def _half_sums_collide(
+    elements: tuple[int, ...], a: tuple[int, ...], budget: WorkBudget
+) -> bool:
+    """Whether two disjoint half-tuples over `elements` have the same sum
+    a·x, which is whether the set has a distinct-valued solution.
+
+    Every half-tuple is listed as k index columns, its sums are computed in
+    int64 and sorted, and only entries of equal sum are compared: pass d
+    compares each entry with the one d places later in its run, and the
+    entries still in a run at pass d are a subset of those at pass d - 1.
+    The caller guarantees that no sum overflows int64.  The k + 3 int64
+    words held per half-tuple (its indices, its sum, its sort position and
+    the sorted sum) are charged before anything is listed, and each pass's
+    comparisons before they are made.
+    """
+    n = len(elements)
+    slots = sorted(a)  # slots sharing a coefficient become adjacent
+    budget.spend((len(slots) + 3) * _half_tuple_count(n, slots))
+    vals = np.asarray(elements, dtype=np.int64)
+    cols: list[np.ndarray] = []
+    for j, c in enumerate(slots):
+        # Each row so far extends by every index from lo up, lo being one
+        # past its index in a tied previous slot; indices already in the
+        # row are then dropped.
+        if j and slots[j - 1] == c:
+            lo = cols[-1] + 1
+        else:
+            lo = np.zeros(len(cols[0]) if cols else 1, dtype=np.int64)
+        reps = n - lo
+        row = np.repeat(np.arange(len(lo)), reps)
+        new = np.arange(len(row)) - np.repeat(np.cumsum(reps) - reps - lo, reps)
+        cols = [col[row] for col in cols]
+        keep = np.ones(len(new), dtype=bool)
+        for col in cols:
+            keep &= col != new
+        cols = [col[keep] for col in cols + [new]]
+    sums = np.zeros(len(cols[0]), dtype=np.int64)
+    for c, col in zip(slots, cols):
+        sums += c * vals[col]
+    order = np.argsort(sums)
+    sums = sums[order]
+    budget.spend(len(sums) - 1)
+    live = np.flatnonzero(sums[:-1] == sums[1:])
+    d = 1
+    while live.size:
+        first, second = order[live], order[live + d]
+        disjoint = np.ones(live.size, dtype=bool)
+        for x in cols:
+            xs = x[first]
+            for y in cols:
+                disjoint &= xs != y[second]
+        if disjoint.any():
+            return True
+        d += 1
+        live = live[live < len(sums) - d]
+        budget.spend(live.size)
+        live = live[sums[live] == sums[live + d]]
+    return False
+
+
+# What `_decide` returns when the join finds a solution but no walk has
+# produced the witness.
+_COLLISION = object()
+
+
+def _decide(
+    elements: tuple[int, ...], eq: Equation, budget: WorkBudget
+) -> tuple[int, ...] | object | None:
+    """None if `elements` is solution-free; else the walker's first
+    solution, or `_COLLISION` when only the join has seen one.
+
+    Where the half-tuples outnumber the walker's |A|(|A|-1)-entry pair
+    index (k >= 3), the walker runs first, capped at as many steps as there
+    are half-tuples, and an answer it reaches within that stands: on a set
+    with an early solution it is far cheaper than the join.  Otherwise, or
+    once the cap is hit, the join decides.  A set whose half-sums could
+    overflow int64 is walked alone.  Every step counts against `budget`.
+    """
+    n = len(elements)
+    if n < 2 * eq.k:
+        return None
+    if eq.k * max(map(abs, eq.a)) * elements[-1] >= 1 << 63:
+        return next(_search_witness(elements, eq, budget), None)
+    half_tuples = _half_tuple_count(n, eq.a)
+    if half_tuples > n * (n - 1):
+        limit = budget.limit
+        budget.limit = min(limit, budget.used + half_tuples)
+        try:
+            return next(_search_witness(elements, eq, budget), None)
+        except BudgetExceededError:
+            pass
+        finally:
+            budget.limit = limit
+        # The cap was hit; running past the caller's own limit too is an error.
+        budget.spend(0)
+    return _COLLISION if _half_sums_collide(elements, eq.a, budget) else None
+
+
 def find_distinct_solution(
     A: IntegerSet, eq: Equation, budget: int = DEFAULT_BUDGET
 ) -> tuple[int, ...] | None:
-    """One distinct-valued solution over A in slot order, or None."""
-    return next(_search_witness(A.elements, eq, WorkBudget(budget)), None)
+    """The lexicographically first canonical distinct-valued solution over A
+    in slot order, or None.  One budget covers the decision and the walk
+    that produces the witness after a join collision."""
+    wb = WorkBudget(budget)
+    hit = _decide(A.elements, eq, wb)
+    if hit is _COLLISION:
+        hit = next(_search_witness(A.elements, eq, wb), None)
+        if hit is None:
+            raise InvariantViolation(
+                f"half-sum join found a solution over {A.elements} for {eq} "
+                "that the walk did not"
+            )
+    return hit
 
 
 def is_solution_free(A: IntegerSet, eq: Equation, budget: int = DEFAULT_BUDGET) -> bool:
     """Whether A admits no solution with 2k pairwise different values."""
-    return find_distinct_solution(A, eq, budget=budget) is None
+    return _decide(A.elements, eq, WorkBudget(budget)) is None
 
 
 def has_distinct_solution_using(

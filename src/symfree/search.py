@@ -214,13 +214,18 @@ def exact_max_solution_free(
     )
 
 
-def random_restarts(N: int, eq: Equation, trials: int, seed: int) -> SearchResult:
-    """Best of `trials` seeded shuffled greedy scans; a lower bound only."""
+def random_restarts(
+    N: int, eq: Equation, trials: int, seed: int, budget: int = DEFAULT_BUDGET
+) -> SearchResult:
+    """Best of `trials` seeded shuffled greedy scans; a lower bound only.
+    Each scan runs under its own work budget of `budget` units."""
     if trials < 1:
         raise ValidationError("trial count must be >= 1")
     t0 = time.perf_counter()
     scans = (
-        greedy_solution_free(N, eq, order="shuffle", seed=seed * 1_000_003 + t)
+        greedy_solution_free(
+            N, eq, order="shuffle", seed=seed * 1_000_003 + t, budget=budget
+        )
         for t in range(trials)
     )
     best = max(scans, key=len)  # the first of the largest
@@ -256,7 +261,9 @@ def check_energy_bounds(
 ) -> BoundReport:
     """Compare E against M^{2k} / (norm1 * N) from below and, for
     solution-free sets, against C(2k,2) * M^{2k-2} from above.  `budget`
-    bounds the convolutions behind E and, separately, the witness search."""
+    bounds the convolutions behind E and, separately, the freeness decision
+    of `is_solution_free`: a capped witness walk for k >= 3, then the
+    half-sum join."""
     if not A.elements:
         raise ValidationError("energy bounds need a nonempty set")
     M = len(A.elements)

@@ -131,6 +131,17 @@ def test_search_heuristic(capsys):
     }
 
 
+def test_search_heuristic_budget_exits_3():
+    # The default budget of 5M units stops the greedy scan before it lists
+    # 10^8 candidates.
+    argv = ["search", "heuristic", "--eq", "1,1", "--N", "100000000", "--trials", "1"]
+    run = subprocess.run(
+        [sys.executable, "-m", "symfree", *argv], capture_output=True, text=True
+    )
+    assert run.returncode == 3 and run.stdout == ""
+    assert run.stderr.startswith("error:") and "Traceback" not in run.stderr
+
+
 def test_check_inequalities(capsys):
     code, out, err = run_cli(capsys, ["check", "inequalities", "--trials", "20", "--seed", "0"])
     assert code == 0 and err == ""

@@ -201,6 +201,80 @@ def test_walk_yields_canonical_solutions_in_lexicographic_order():
             assert find_distinct_solution(A, eq) == (walk[0] if walk else None)
 
 
+def test_freeness_decision_matches_oracle_and_walk(monkeypatch):
+    # Seeded free and non-free sets decide as the brute-force oracle does
+    # and report the walk's first solution, through every branch of the
+    # rule: a capped walk that finishes, a hit cap followed by the join,
+    # and a join collision followed by the walk that finds the witness.
+    import symfree.counting as counting_mod
+
+    real_walk = counting_mod._search_witness
+    real_join = counting_mod._half_sums_collide
+    events = []
+
+    def walk(*args):
+        events.append("walk")
+        return real_walk(*args)
+
+    def join(*args):
+        hit = real_join(*args)
+        events.append("collision" if hit else "no collision")
+        return hit
+
+    monkeypatch.setattr(counting_mod, "_search_witness", walk)
+    monkeypatch.setattr(counting_mod, "_half_sums_collide", join)
+    rng = random.Random(37)
+    runs = set()
+    texts = ("1,1", "1,2", "1,-2", "3,-5", "1,1,1", "1,2,2", "1,2,3", "2,-1,3", "1,1,2")
+    for eq in map(parse_equation, texts):
+        free = not_free = 0
+        for _ in range(12):
+            # The oracle's grid has |A|^{2k} cells, so k = 3 sets stay small.
+            size = rng.randint(2 * eq.k, 8 if eq.k == 3 else 11)
+            top = rng.choice([2 * size, 10**6])
+            A = make_set(rng.sample(range(1, top + 1), size), top)
+            expected = brute_counts(A.elements, eq.full_coefficients())[1] == 0
+            events.clear()
+            assert is_solution_free(A, eq) == expected, (eq, A)
+            runs.add(tuple(events))
+            events.clear()
+            first = next(real_walk(A.elements, eq, WorkBudget()), None)
+            assert find_distinct_solution(A, eq) == first, (eq, A)
+            runs.add(tuple(events))
+            free += expected
+            not_free += not expected
+        assert free and not_free, eq
+    assert ("walk",) in runs
+    assert ("walk", "no collision") in runs
+    assert ("collision", "walk") in runs
+
+
+def test_overflowing_half_sums_are_walked(monkeypatch):
+    # Symmetric equations are translation-invariant, so a shift by about
+    # 2^61 keeps a set free and shifts a witness by the same amount.  The
+    # shifted half-sums overflow int64, so only the walker may decide.
+    import symfree.counting as counting_mod
+
+    free = make_set([4, 17, 41, 100, 172, 190, 199], 199)
+    not_free = make_set(range(1, 8), 7)
+    assert brute_counts(free.elements, EQ122.full_coefficients())[1] == 0
+    witness = find_distinct_solution(not_free, EQ122)
+    assert witness == (1, 2, 7, 5, 3, 4)
+    shift = 1 << 61
+
+    def shifted(A):
+        return make_set([v + shift for v in A], A.elements[-1] + shift)
+
+    def no_join(*args):
+        raise AssertionError("the join ran on sums that overflow int64")
+
+    monkeypatch.setattr(counting_mod, "_half_sums_collide", no_join)
+    assert is_solution_free(shifted(free), EQ122)
+    assert find_distinct_solution(shifted(free), EQ122) is None
+    assert not is_solution_free(shifted(not_free), EQ122)
+    assert find_distinct_solution(shifted(not_free), EQ122) == tuple(v + shift for v in witness)
+
+
 def test_pinned_search_matches_oracle_for_two_representative_slots():
     # The added value may take a slot of any coefficient; these equations
     # have one to three coefficient magnitudes, some of both signs.
@@ -232,15 +306,23 @@ def test_enumerate_budget_is_an_error_not_an_estimate():
 
 
 def test_budget_checked_before_large_allocations():
-    # The witness walk charges its |A|(|A|-1)-entry pair index, and the
-    # partition sum its Bell(2k) partitions, before building either.
+    # The witness walk charges its |A|(|A|-1)-entry pair index, the half-sum
+    # join its half-tuples, and the partition sum its Bell(2k) partitions,
+    # before building any of them.
     A = make_set(range(1, 601), 600)  # a 359,400-entry pair index
     B = make_set(range(1, 11), 10)
+    C = make_set(range(1, 201), 200)  # 3,940,200 half-tuples under 1,2,2
     eq5 = parse_equation("1,1,1,1,1")  # Bell(10) = 115,975 partitions
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError):
             find_distinct_solution(A, EQ11, budget=1)
+        with pytest.raises(BudgetExceededError):
+            # The budget runs out inside the capped walk.
+            is_solution_free(C, EQ122, budget=1)
+        with pytest.raises(BudgetExceededError):
+            # Room for the pair index, none for the join's 359,400 half-tuples.
+            find_distinct_solution(A, parse_equation("1,2"), budget=359_400 + 1)
         with pytest.raises(BudgetExceededError):
             count_distinct_solutions(B, eq5, method="inclusion_exclusion", budget=1)
         _, peak = tracemalloc.get_traced_memory()
