@@ -146,12 +146,13 @@ def _search_json(args, eq, res) -> dict:
 
 def _cmd_search(args) -> int:
     eq = parse_equation(args.eq)
+    # Without --budget each mode keeps its own default: a node count for
+    # the exact search, work units for each greedy scan.
+    budget = {} if args.budget is None else {"budget": args.budget}
     if args.mode == "exact":
-        res = exact_max_solution_free(args.N, eq, budget=args.budget)
+        res = exact_max_solution_free(args.N, eq, **budget)
     else:
-        res = random_restarts(
-            args.N, eq, trials=args.trials, seed=args.seed, budget=args.budget
-        )
+        res = random_restarts(args.N, eq, trials=args.trials, seed=args.seed, **budget)
     _emit_json(_search_json(args, eq, res))
     return EXIT_OK
 
@@ -302,7 +303,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("mode", choices=["exact", "heuristic"])
     p_search.add_argument("--eq", required=True)
     p_search.add_argument("--N", type=int, required=True)
-    p_search.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p_search.add_argument(
+        "--budget",
+        type=int,
+        default=None,
+        help=f"exact: nodes (default {DEFAULT_NODE_BUDGET}); "
+        f"heuristic: work units per scan (default {DEFAULT_BUDGET})",
+    )
     p_search.add_argument("--trials", type=int, default=40)
     p_search.add_argument("--seed", type=int, default=0)
     p_search.add_argument("--timing", action="store_true")

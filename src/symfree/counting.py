@@ -14,8 +14,8 @@ value creates a solution, and counting all of them, times the orbit size,
 is the enumeration cross-check of the partition sum.  Whether a whole set
 is free is decided by a numpy join of its half-tuples on their weighted
 sums, which is exhaustive at array speed where the walk on a free set is
-exhaustive in Python; the walker runs first only while it is no dearer than
-the join, and again after it to produce the witness.
+exhaustive in Python; the walker then runs only to produce the witness, or
+alone on a set whose sums could overflow int64.
 """
 
 from __future__ import annotations
@@ -481,33 +481,15 @@ _COLLISION = object()
 def _decide(
     elements: tuple[int, ...], eq: Equation, budget: WorkBudget
 ) -> tuple[int, ...] | object | None:
-    """None if `elements` is solution-free; else the walker's first
-    solution, or `_COLLISION` when only the join has seen one.
-
-    Where the half-tuples outnumber the walker's |A|(|A|-1)-entry pair
-    index (k >= 3), the walker runs first, capped at as many steps as there
-    are half-tuples, and an answer it reaches within that stands: on a set
-    with an early solution it is far cheaper than the join.  Otherwise, or
-    once the cap is hit, the join decides.  A set whose half-sums could
-    overflow int64 is walked alone.  Every step counts against `budget`.
+    """None if `elements` is solution-free; else `_COLLISION` when the join
+    decided, or the walker's first solution for a set whose half-sums could
+    overflow int64, which the walker decides alone.  Every step counts
+    against `budget`.
     """
-    n = len(elements)
-    if n < 2 * eq.k:
+    if len(elements) < 2 * eq.k:
         return None
     if eq.k * max(map(abs, eq.a)) * elements[-1] >= 1 << 63:
         return next(_search_witness(elements, eq, budget), None)
-    half_tuples = _half_tuple_count(n, eq.a)
-    if half_tuples > n * (n - 1):
-        limit = budget.limit
-        budget.limit = min(limit, budget.used + half_tuples)
-        try:
-            return next(_search_witness(elements, eq, budget), None)
-        except BudgetExceededError:
-            pass
-        finally:
-            budget.limit = limit
-        # The cap was hit; running past the caller's own limit too is an error.
-        budget.spend(0)
     return _COLLISION if _half_sums_collide(elements, eq.a, budget) else None
 
 

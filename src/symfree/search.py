@@ -261,9 +261,8 @@ def check_energy_bounds(
 ) -> BoundReport:
     """Compare E against M^{2k} / (norm1 * N) from below and, for
     solution-free sets, against C(2k,2) * M^{2k-2} from above.  `budget`
-    bounds the convolutions behind E and, separately, the freeness decision
-    of `is_solution_free`: a capped witness walk for k >= 3, then the
-    half-sum join."""
+    bounds the convolutions behind E and, separately, the half-sum join
+    that decides `is_solution_free`."""
     if not A.elements:
         raise ValidationError("energy bounds need a nonempty set")
     M = len(A.elements)

@@ -132,14 +132,25 @@ def test_search_heuristic(capsys):
 
 
 def test_search_heuristic_budget_exits_3():
-    # The default budget of 5M units stops the greedy scan before it lists
-    # 10^8 candidates.
+    # An explicit budget of 5M units stops the greedy scan before it lists
+    # 10^8 candidates, whose up-front charge is about 5.4 * 10^8 units.
     argv = ["search", "heuristic", "--eq", "1,1", "--N", "100000000", "--trials", "1"]
     run = subprocess.run(
-        [sys.executable, "-m", "symfree", *argv], capture_output=True, text=True
+        [sys.executable, "-m", "symfree", *argv, "--budget", "5000000"],
+        capture_output=True,
+        text=True,
     )
     assert run.returncode == 3 and run.stdout == ""
     assert run.stderr.startswith("error:") and "Traceback" not in run.stderr
+
+
+def test_search_heuristic_default_budget_is_per_scan(capsys):
+    # Without --budget a greedy scan gets its own default of 10^9 work
+    # units, not the exact search's 5 * 10^6 nodes: this scan charges about
+    # 6.8 * 10^6 units.
+    argv = ["search", "heuristic", "--eq", "1,1", "--N", "100000", "--trials", "1"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and json.loads(out)["size"] > 0
 
 
 def test_check_inequalities(capsys):

@@ -203,9 +203,9 @@ def test_walk_yields_canonical_solutions_in_lexicographic_order():
 
 def test_freeness_decision_matches_oracle_and_walk(monkeypatch):
     # Seeded free and non-free sets decide as the brute-force oracle does
-    # and report the walk's first solution, through every branch of the
-    # rule: a capped walk that finishes, a hit cap followed by the join,
-    # and a join collision followed by the walk that finds the witness.
+    # and report the walk's first solution: the join alone decides a free
+    # set, and a join collision is followed by the walk that finds the
+    # witness.
     import symfree.counting as counting_mod
 
     real_walk = counting_mod._search_witness
@@ -244,9 +244,7 @@ def test_freeness_decision_matches_oracle_and_walk(monkeypatch):
             free += expected
             not_free += not expected
         assert free and not_free, eq
-    assert ("walk",) in runs
-    assert ("walk", "no collision") in runs
-    assert ("collision", "walk") in runs
+    assert runs == {("no collision",), ("collision",), ("collision", "walk")}
 
 
 def test_overflowing_half_sums_are_walked(monkeypatch):
@@ -318,10 +316,10 @@ def test_budget_checked_before_large_allocations():
         with pytest.raises(BudgetExceededError):
             find_distinct_solution(A, EQ11, budget=1)
         with pytest.raises(BudgetExceededError):
-            # The budget runs out inside the capped walk.
             is_solution_free(C, EQ122, budget=1)
         with pytest.raises(BudgetExceededError):
-            # Room for the pair index, none for the join's 359,400 half-tuples.
+            # Room for the walker's pair index, none for the join's charge of
+            # k + 3 = 5 units for each of its 359,400 half-tuples.
             find_distinct_solution(A, parse_equation("1,2"), budget=359_400 + 1)
         with pytest.raises(BudgetExceededError):
             count_distinct_solutions(B, eq5, method="inclusion_exclusion", budget=1)
