@@ -2,9 +2,9 @@
 
 Data goes to stdout (JSON objects for single results, CSV for tables), log
 and error text to stderr.  Exit codes: 0 success, 2 invalid input, 3 work
-budget exceeded, 4 internal invariant violation.  With fixed seeds every
-command prints byte-identical output on repeated runs; pass --timing to add
-a wall-clock field that is exempt from that guarantee.
+budget exceeded or memory exhausted, 4 internal invariant violation.  With
+fixed seeds every command prints byte-identical output on repeated runs;
+pass --timing to add a wall-clock field that is exempt from that guarantee.
 """
 
 from __future__ import annotations
@@ -172,7 +172,7 @@ def _cmd_check_inequalities(args) -> int:
 def _cmd_check_bounds(args) -> int:
     eq = parse_equation(args.eq)
     sets = [_load_set(path, args.N) for path in args.set]
-    rows = run_bound_report(eq, sets)
+    rows = run_bound_report(eq, sets, budget=args.budget)
     out_rows = []
     for A, rep in rows:
         out_rows.append(
@@ -325,6 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--eq", required=True)
     p_bounds.add_argument("--set", action="append", required=True)
     p_bounds.add_argument("--N", type=int, default=None)
+    p_bounds.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_bounds.set_defaults(func=_cmd_check_bounds)
 
     p_table = sub.add_parser("table", help="experiment tables")
@@ -362,6 +363,12 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except MemoryError as exc:
+        # A budget sized past the memory at hand ends here, like a budget
+        # that ran out, rather than in a traceback.
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

@@ -7,6 +7,13 @@ gives total solution counts; merging variables gives coincidence counts; a
 signed sum over set partitions gives the count of solutions whose 2k values
 are pairwise different.
 
+Each convolution step adds the counts so far, shifted by each term c*x.
+When the step pairs at least `_DENSE_WORK_FLOOR` (count, term) pairs and
+they populate the output range well, numpy does the adds on one array over
+that range: in int64 while the counts sum below 2^63, which bounds every
+entry, and otherwise on Python ints in an object array.  Smaller or sparser
+steps add into a dict, one pair at a time.
+
 One depth-first walker visits the distinct-valued solutions over any given
 set, a canonical member of each orbit of the slot symmetries.  Its first
 solution is the witness that `verify` reports, it decides whether one added
@@ -37,9 +44,15 @@ from .model import (
 
 DEFAULT_BUDGET = 10**9
 
-# Dense accumulation wins once the output range is well populated; beyond this
-# span the temporary array would dominate memory, so stay sparse.
+# The dense branch of `_convolve` lays the output out as one numpy array over
+# [min, max] and adds the counts into it once per term: int64 while the
+# counts sum below 2^63, Python ints in an object array past that.  Beyond
+# this span the array (32 MB of int64 at the cap) would dominate memory, so
+# the step stays sparse.
 _DENSE_SPAN_CAP = 1 << 22
+# Below this many (count, term) pairs one dict add per pair beats numpy's
+# fixed cost per call; `check inequalities` makes thousands of such calls.
+_DENSE_WORK_FLOOR = 1 << 10
 
 
 class WorkBudget:
@@ -80,18 +93,27 @@ class RepFunction:
 
 
 def _convolve(counts: dict[int, int], terms: list[int]) -> dict[int, int]:
+    """The map m -> sum of counts[m - t] over the terms t, which must be
+    pairwise different: then no output entry exceeds the sum of the counts,
+    the bound the dense branch's int64 guard rests on."""
     if not counts or not terms:
         return {}
-    lo = min(counts) + min(terms)
-    hi = max(counts) + max(terms)
-    span = hi - lo + 1
-    if span <= _DENSE_SPAN_CAP and len(counts) * len(terms) * 8 >= span:
-        arr = [0] * span
-        for m, c in counts.items():
-            base = m - lo
-            for t in terms:
-                arr[base + t] += c
-        return {lo + i: v for i, v in enumerate(arr) if v}
+    cmin, cmax = min(counts), max(counts)
+    tmin = min(terms)
+    lo = cmin + tmin
+    span = cmax + max(terms) - lo + 1
+    work = len(counts) * len(terms)
+    if work >= _DENSE_WORK_FLOOR and span <= _DENSE_SPAN_CAP and work * 8 >= span:
+        dtype = np.int64 if sum(counts.values()) < 1 << 63 else object
+        width = cmax - cmin + 1
+        src = np.zeros(width, dtype=dtype)
+        src[[m - cmin for m in counts]] = list(counts.values())
+        out = np.zeros(span, dtype=dtype)
+        for t in terms:
+            start = t - tmin
+            out[start : start + width] += src
+        nz = np.flatnonzero(out)
+        return {lo + i: v for i, v in zip(nz.tolist(), out[nz].tolist())}
     out: dict[int, int] = {}
     get = out.get
     for m, c in counts.items():

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .counting import DEFAULT_BUDGET
 from .model import Equation, IntegerSet, InvariantViolation, ValidationError
 from .search import (
     DEFAULT_NODE_BUDGET,
@@ -58,9 +59,9 @@ def run_rn_table(
 
 
 def run_bound_report(
-    eq: Equation, sets: list[IntegerSet]
+    eq: Equation, sets: list[IntegerSet], budget: int = DEFAULT_BUDGET
 ) -> list[tuple[IntegerSet, BoundReport]]:
-    """check_energy_bounds across many sets.
+    """check_energy_bounds across many sets, each under `budget`.
 
     A lower-bound violation would contradict a theorem, so it raises instead
     of being reported as data.
@@ -69,7 +70,7 @@ def run_bound_report(
         raise ValidationError("bound report needs at least one set")
     rows = []
     for A in sets:
-        report = check_energy_bounds(A, eq)
+        report = check_energy_bounds(A, eq, budget=budget)
         if not report.lower_holds:
             raise InvariantViolation(
                 f"energy lower bound failed for set of size {report.M} in "

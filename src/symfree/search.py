@@ -218,7 +218,8 @@ def random_restarts(
     N: int, eq: Equation, trials: int, seed: int, budget: int = DEFAULT_BUDGET
 ) -> SearchResult:
     """Best of `trials` seeded shuffled greedy scans; a lower bound only.
-    Each scan runs under its own work budget of `budget` units."""
+    Each scan, and the re-check that the best one is free, runs under its
+    own work budget of `budget` units."""
     if trials < 1:
         raise ValidationError("trial count must be >= 1")
     t0 = time.perf_counter()
@@ -229,7 +230,7 @@ def random_restarts(
         for t in range(trials)
     )
     best = max(scans, key=len)  # the first of the largest
-    if not is_solution_free(best, eq):
+    if not is_solution_free(best, eq, budget=budget):
         raise InvariantViolation("greedy produced a set that is not solution-free")
     return SearchResult(
         size=len(best.elements),

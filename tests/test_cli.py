@@ -249,6 +249,7 @@ def test_exit_code_budget(capsys, set_file):
         ["count", "distinct", "--method", "inclusion_exclusion"],
         ["count", "solutions"],
         ["verify", "solution-free"],
+        ["check", "bounds"],
     ):
         argv = cmd + ["--eq", "1,1", "--set", path, "--budget", "1"]
         code, out, err = run_cli(capsys, argv)
@@ -289,6 +290,23 @@ def test_count_energy_budget_charged_before_convolving(capsys, set_file, monkeyp
     code, out, err = run_cli(capsys, argv)
     assert code == 3 and out == "" and err.startswith("error:")
     assert calls == []
+
+
+def test_memory_error_maps_to_exit_3(capsys, set_file, monkeypatch):
+    import symfree.counting as counting_mod
+
+    def exhausted(counts, terms):
+        raise MemoryError("Unable to allocate 8.00 GiB")
+
+    monkeypatch.setattr(counting_mod, "_convolve", exhausted)
+    path = set_file("a.txt", range(1, 9))
+    for argv in (
+        ["count", "energy", "--eq", "1,1", "--set", path],
+        ["check", "bounds", "--eq", "1,1", "--set", path],
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 3 and out == "", argv
+        assert err == "error: out of memory: Unable to allocate 8.00 GiB\n"
 
 
 def test_check_inequalities_failure_maps_to_exit_4(capsys, monkeypatch):

@@ -20,7 +20,13 @@ from symfree import (
     rep_function,
     solution_report,
 )
-from symfree.counting import WorkBudget, _search_witness
+from symfree.counting import (
+    _DENSE_SPAN_CAP,
+    _DENSE_WORK_FLOOR,
+    WorkBudget,
+    _convolve,
+    _search_witness,
+)
 
 EQ11 = parse_equation("1,1")
 EQ111 = parse_equation("1,1,1")
@@ -75,6 +81,79 @@ def test_rep_function_matches_brute_product():
         r = rep_function(sets, coeffs)
         assert r.counts == brute_rep([s.elements for s in sets], coeffs)
         assert sum(r.counts.values()) == r.total
+
+
+def _fold(counts, terms):
+    """Reference convolution: one Python-int dict add per (count, term)."""
+    out = {}
+    for m, c in counts.items():
+        for t in terms:
+            out[m + t] = out.get(m + t, 0) + c
+    return out
+
+
+def _route(counts, terms):
+    """Which side of the work floor and of the density test a call is on."""
+    work = len(counts) * len(terms)
+    span = max(counts) + max(terms) - min(counts) - min(terms) + 1
+    if work < _DENSE_WORK_FLOOR:
+        return "small"
+    return "dense" if span <= _DENSE_SPAN_CAP and work * 8 >= span else "sparse"
+
+
+def test_convolve_matches_dict_fold_on_every_route():
+    rng = random.Random(8)
+    seen = set()
+    for _ in range(300):
+        reach = rng.choice([50, 400, 10**5])
+        counts = {
+            rng.randint(-reach, reach): rng.randint(1, 10 ** rng.randint(1, 17))
+            for _ in range(rng.randint(1, 120))
+        }
+        terms = rng.sample(range(-reach, reach + 1), rng.randint(1, min(90, 2 * reach)))
+        seen.add(_route(counts, terms))
+        assert _convolve(counts, terms) == _fold(counts, terms)
+    assert seen == {"small", "dense", "sparse"}
+
+
+def test_rep_function_matches_brute_product_on_every_route():
+    rng = random.Random(9)
+    for _ in range(30):
+        l = rng.randint(2, 3)
+        top = rng.choice([60, 10**5])
+        sets = [make_set(rng.sample(range(1, top), rng.randint(5, 30)), top) for _ in range(l)]
+        coeffs = [rng.choice([-1, 1]) * rng.randint(1, 5) for _ in range(l)]
+        assert rep_function(sets, coeffs).counts == brute_rep(
+            [s.elements for s in sets], coeffs
+        )
+
+
+@pytest.mark.parametrize("copies", [10, 11])
+def test_rep_function_exact_past_int64(copies):
+    # [1, 100]^copies has 100^copies tuples.  Eleven copies convolve input
+    # counts summing to 100^10 > 2^63 on the last step, so they take the
+    # object branch, and their largest counts exceed 2^63 themselves.
+    A = make_set(range(1, 101), 100)
+    r = rep_function([A] * copies, [1] * copies)
+    assert r.total == 100**copies
+    assert sum(r.counts.values()) == r.total
+    folded = {0: 1}
+    for _ in range(copies):
+        folded = _fold(folded, list(A.elements))
+    assert r.counts == folded
+    assert (max(r.counts.values()) >= 1 << 63) == (copies == 11)
+
+
+@pytest.mark.parametrize("total", [(1 << 63) - 1, 1 << 63])
+def test_convolve_counts_summing_to_the_int64_edge(total):
+    # Every output entry but the two ends collects both counts, so equals
+    # the total: int64's largest value, and one past it.
+    counts = {0: total // 2, 1: total - total // 2}
+    terms = list(range(_DENSE_WORK_FLOOR))
+    assert _route(counts, terms) == "dense"
+    out = _convolve(counts, terms)
+    assert out == _fold(counts, terms)
+    assert out[1] == total
 
 
 def test_rep_support_within_norm_times_bound():

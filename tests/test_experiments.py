@@ -106,6 +106,6 @@ def test_bound_report_raises_on_impossible_lower_bound(monkeypatch):
         M = 1
         N = 1
 
-    monkeypatch.setattr(exp, "check_energy_bounds", lambda A, eq: Broken())
+    monkeypatch.setattr(exp, "check_energy_bounds", lambda A, eq, budget: Broken())
     with pytest.raises(InvariantViolation):
         run_bound_report(EQ11, [make_set([1], 1)])

@@ -181,6 +181,19 @@ def test_random_restarts_deterministic():
         random_restarts(7, EQ11, 0, 0)
 
 
+def test_random_restarts_recheck_runs_under_the_scan_budget(monkeypatch):
+    import symfree.search as search_mod
+
+    # A stand-in scan returns a free set without spending: the powers of
+    # two are a Sidon set, and the join deciding it charges 5 * C(10, 2)
+    # = 225 units before it lists anything.
+    sidon = make_set([1 << i for i in range(10)], 512)
+    monkeypatch.setattr(search_mod, "greedy_solution_free", lambda *a, **kw: sidon)
+    assert random_restarts(512, EQ11, 1, 0).size == 10
+    with pytest.raises(BudgetExceededError):
+        random_restarts(512, EQ11, 1, 0, budget=224)
+
+
 def test_random_restarts_never_beats_exact():
     for n in (8, 10, 12):
         heur = random_restarts(n, EQ11, 6, 1)
