@@ -1,11 +1,13 @@
 """Exact solution counting over finite integer sets.
 
-Everything here is integer-exact.  The central object is the representation
-function of a weighted sum system: how many tuples (x1, ..., xl) drawn from
-given sets reach each value of c1*x1 + ... + cl*xl.  Convolving those maps
-gives total solution counts; merging variables gives coincidence counts; a
-signed sum over set partitions gives the count of solutions whose 2k values
-are pairwise different.
+Everything here is integer-exact.  Every solution count over a set A is built
+from Z(C) = #{x in A^|C| : C·x = 0} for multisets C of coefficients: the
+energy E is Z of the full coefficients (a, -a), a coincidence count is Z once
+two slots merge into one carrying their sum, and the distinct-valued count is
+a signed sum of Z over the set partitions of the 2k slots.  Z is the energy
+of one half of C against the other half negated, from the representation
+function of each half (how many tuples reach each weighted sum), and a memo
+keyed by the multiset lets the counts of one report share each Z.
 
 Each convolution step adds the counts so far, shifted by each term c*x.
 When the step pairs at least `_DENSE_WORK_FLOOR` (count, term) pairs and
@@ -156,41 +158,48 @@ def energy(lhs, rhs) -> int:
 
 
 def count_all_solutions(A: IntegerSet, eq: Equation, budget: int = DEFAULT_BUDGET) -> int:
-    """Ordered 2k-tuples over A solving the equation, coincidences allowed.
-    The convolution work is bounded by `_rep_cost` and charged before any
-    is done."""
-    if not A.elements:
-        return 0
-    WorkBudget(budget).spend(_rep_cost(A, eq.a))
-    r = rep_function([A] * eq.k, list(eq.a))
-    return sum(c * c for c in r.counts.values())
+    """Ordered 2k-tuples over A solving the equation, coincidences allowed."""
+    return _zero_count(A, eq.full_coefficients(), WorkBudget(budget), {})
 
 
 def count_coincident(A: IntegerSet, eq: Equation, i: int, j: int) -> int:
-    """Solutions over A with x_i == x_j (1-based indices into the 2k slots).
-
-    Merging the two variables adds their coefficients; a zero merged
-    coefficient leaves that variable free, contributing a factor |A|.
-    """
+    """Solutions over A with x_i == x_j (1-based indices into the 2k slots)."""
     two_k = 2 * eq.k
     if not (1 <= i < j <= two_k):
         raise ValidationError(f"need 1 <= i < j <= {two_k}, got ({i}, {j})")
-    if not A.elements:
-        return 0
-    rest, free = _merged_coefficients(eq, i, j)
-    r = rep_function([A] * len(rest), rest)
-    return len(A.elements) ** free * r.counts.get(0, 0)
+    return _zero_count(A, _merged_coefficients(eq, i, j), WorkBudget(), {})
 
 
-def _merged_coefficients(eq: Equation, i: int, j: int) -> tuple[list[int], int]:
-    """The coefficients left once slots i and j merge, and how many free
-    variables (0 or 1) the merge leaves."""
+def _merged_coefficients(eq: Equation, i: int, j: int) -> list[int]:
+    """The coefficients once slots i and j merge into one variable, which
+    carries the sum of theirs."""
     coeffs = eq.full_coefficients()
-    merged = coeffs[i - 1] + coeffs[j - 1]
     rest = [c for pos, c in enumerate(coeffs, start=1) if pos not in (i, j)]
-    if merged == 0:
-        return rest, 1
-    return rest + [merged], 0
+    return rest + [coeffs[i - 1] + coeffs[j - 1]]
+
+
+def _zero_count(
+    A: IntegerSet, coeffs: Sequence[int], budget: WorkBudget, memo: dict
+) -> int:
+    """Z(coeffs) = #{x in A^len(coeffs) : coeffs·x = 0}.
+
+    A zero coefficient is a free variable, a factor |A|, and Z of no
+    coefficients is 1.  The others, ordered by size, are dealt alternately
+    into two halves, each sorted by (|c|, c) so that equal halves compare
+    equal, and Z is the energy of the first against the negated second.
+    Each half's `_rep_cost` is charged before it is convolved, once if the
+    halves are equal, as those of (a, -a) always are.  `memo` maps each
+    nonzero multiset, as a sorted tuple, to its count, so callers sharing it
+    never convolve one multiset twice.
+    """
+    key = tuple(sorted(c for c in coeffs if c != 0))
+    if key and key not in memo:
+        order = sorted(key, key=abs)
+        lhs = order[0::2]
+        rhs = sorted((-c for c in order[1::2]), key=lambda c: (abs(c), c))
+        budget.spend(_rep_cost(A, lhs) + (_rep_cost(A, rhs) if rhs != lhs else 0))
+        memo[key] = energy([(A, c) for c in lhs], [(A, c) for c in rhs])
+    return len(A.elements) ** (len(coeffs) - len(key)) * memo.get(key, 1)
 
 
 def _rep_cost(A: IntegerSet, coeffs: Sequence[int]) -> int:
@@ -240,15 +249,15 @@ def _bell(n: int) -> int:
     return row[0]
 
 
-def _count_distinct_partitions(A: IntegerSet, eq: Equation, budget: WorkBudget) -> int:
+def _count_distinct_partitions(
+    A: IntegerSet, eq: Equation, budget: WorkBudget, memo: dict
+) -> int:
     coeffs = eq.full_coefficients()
     n = len(coeffs)
-    n_a = len(A.elements)
-    if n_a < n:
+    if len(A.elements) < n:
         return 0
     # One unit per set partition, charged before any partition is listed.
     budget.spend(_bell(n))
-    cache: dict[tuple[int, ...], int] = {}
     total = 0
     for rgs in _set_partitions(n):
         blocks = max(rgs) + 1
@@ -257,19 +266,10 @@ def _count_distinct_partitions(A: IntegerSet, eq: Equation, budget: WorkBudget) 
         for pos, b in enumerate(rgs):
             merged[b] += coeffs[pos]
             sizes[b] += 1
-        nonzero = tuple(sorted(c for c in merged if c != 0))
-        zeros = blocks - len(nonzero)
-        if nonzero:
-            base = cache.get(nonzero)
-            if base is None:
-                base = rep_function([A] * len(nonzero), list(nonzero)).counts.get(0, 0)
-                cache[nonzero] = base
-        else:
-            base = 1
         weight = 1
         for s in sizes:
             weight *= (-1) ** (s - 1) * math.factorial(s - 1)
-        total += weight * base * n_a**zeros
+        total += weight * _zero_count(A, merged, budget, memo)
     return total
 
 
@@ -292,7 +292,7 @@ def count_distinct_solutions(
         walk = _search_witness(A.elements, eq, WorkBudget(budget))
         return _symmetry_order(eq) * sum(1 for _ in walk)
     if method == "inclusion_exclusion":
-        return _count_distinct_partitions(A, eq, WorkBudget(budget))
+        return _count_distinct_partitions(A, eq, WorkBudget(budget), {})
     raise ValidationError(f"unknown method {method!r}")
 
 
@@ -564,19 +564,18 @@ def solution_report(
     A: IntegerSet, eq: Equation, budget: int = DEFAULT_BUDGET
 ) -> SolutionReport:
     """Assemble and cross-validate the full count family for A.  One budget
-    covers the convolutions behind E and every coincidence count, charged
-    before any is done, and the inclusion-exclusion sum behind the
-    distinct-valued count."""
+    and one memo cover the partition sum, E and every coincidence count:
+    once the partition sum has run, E and each coincidence count are among
+    its terms."""
     two_k = 2 * eq.k
-    pairs = [(i, j) for i in range(1, two_k + 1) for j in range(i + 1, two_k + 1)]
-    wb = WorkBudget(budget)
-    wb.spend(
-        _rep_cost(A, eq.a)
-        + sum(_rep_cost(A, _merged_coefficients(eq, i, j)[0]) for i, j in pairs)
-    )
-    E = count_all_solutions(A, eq)
-    distinct = _count_distinct_partitions(A, eq, wb)
-    coincident = {(i, j): count_coincident(A, eq, i, j) for i, j in pairs}
+    wb, memo = WorkBudget(budget), {}
+    distinct = _count_distinct_partitions(A, eq, wb, memo)
+    E = _zero_count(A, eq.full_coefficients(), wb, memo)
+    coincident = {
+        (i, j): _zero_count(A, _merged_coefficients(eq, i, j), wb, memo)
+        for i in range(1, two_k + 1)
+        for j in range(i + 1, two_k + 1)
+    }
     if distinct > E:
         raise InvariantViolation("distinct-valued count exceeds the total count")
     if A.elements and E < len(A.elements) ** eq.k:

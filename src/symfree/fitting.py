@@ -3,6 +3,7 @@ exponents out of (N, size) measurements."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +36,10 @@ def fit_exponent(points) -> FitResult:
             raise ValidationError("exponent fit needs N >= 2")
         if size < 1:
             raise ValidationError("exponent fit needs size >= 1")
-    x = np.log([n for n, _ in pts])
-    y = np.log([size for _, size in pts])
+    # math.log takes Python ints of any size, where np.log fails on the
+    # object array that ints past 2^63 make.
+    x = np.array([math.log(n) for n, _ in pts])
+    y = np.array([math.log(size) for _, size in pts])
     sxx = float(np.sum((x - x.mean()) ** 2))
     if sxx == 0.0:
         raise ValidationError("exponent fit needs at least two distinct N values")

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -231,6 +232,14 @@ def test_fit_headerless_and_bad_rows(capsys, tmp_path):
     assert code == 2 and err.startswith("error:")
 
 
+def test_fit_takes_sizes_past_int64(capsys, tmp_path):
+    p = tmp_path / "points.csv"
+    p.write_text(f"10,3\n100,9\n{10**30},27\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, ["fit", "--points", str(p)])
+    assert code == 0
+    assert math.isfinite(json.loads(out)["slope"])
+
+
 def test_exit_code_validation(capsys, set_file):
     path = set_file("a.txt", [1, 2, 3])
     code, out, err = run_cli(capsys, ["count", "energy", "--eq", "1,x", "--set", path])
@@ -290,6 +299,24 @@ def test_count_energy_budget_charged_before_convolving(capsys, set_file, monkeyp
     code, out, err = run_cli(capsys, argv)
     assert code == 3 and out == "" and err.startswith("error:")
     assert calls == []
+
+
+def test_count_distinct_partition_sum_charged_before_convolving(
+    capsys, set_file, monkeypatch
+):
+    # 1,000 units cover the Bell(6) = 203 partitions but not the first
+    # merged multiset's convolution over 1,500 values.
+    import symfree.counting as counting_mod
+
+    def spy(counts, terms):
+        raise AssertionError("convolved past the budget")
+
+    monkeypatch.setattr(counting_mod, "_convolve", spy)
+    path = set_file("big.txt", range(1, 1501))
+    argv = ["count", "distinct", "--method", "inclusion_exclusion", "--eq", "1,1,1"]
+    code, out, err = run_cli(capsys, argv + ["--set", path, "--budget", "1000"])
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_memory_error_maps_to_exit_3(capsys, set_file, monkeypatch):

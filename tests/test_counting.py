@@ -252,6 +252,22 @@ def test_k3_enumeration_matches_oracle():
     assert with_solutions >= 10
 
 
+def test_k4_counts_match_oracle():
+    # At most 4 values keep the oracle's grid at 4^8 cells.
+    rng = random.Random(41)
+    for eq in map(parse_equation, ("1,1,1,1", "1,-2,3,3")):
+        for _ in range(3):
+            A = make_set(rng.sample(range(1, 7), rng.randint(2, 4)), 6)
+            E, distinct, T = brute_counts(A.elements, eq.full_coefficients())
+            report = solution_report(A, eq)
+            assert (report.E, report.distinct, report.coincident) == (E, distinct, T)
+            assert count_all_solutions(A, eq) == E
+            for (i, j), expected in T.items():
+                assert count_coincident(A, eq, i, j) == expected
+            for method in ("enumerate", "inclusion_exclusion"):
+                assert count_distinct_solutions(A, eq, method=method) == distinct
+
+
 def _canonical_solutions(elements, eq):
     """Distinct-valued solutions by permutation scan, kept when increasing
     across slots sharing a coefficient and, if the first and the (k+1)-th
@@ -477,6 +493,27 @@ def test_solution_report_consistency():
         if report.distinct == 0 and A.elements:
             # every solution then has a coincidence, so the T family covers E
             assert report.E <= sum(report.coincident.values())
+
+
+def test_solution_report_shares_the_partition_sums_convolutions(monkeypatch):
+    # E and every T_{i,j} are terms of the partition sum, so with one memo
+    # the report convolves no multiset the partition sum did not.
+    import symfree.counting as counting_mod
+
+    calls = []
+    real = counting_mod.rep_function
+
+    def spy(sets, coeffs):
+        calls.append(tuple(coeffs))
+        return real(sets, coeffs)
+
+    monkeypatch.setattr(counting_mod, "rep_function", spy)
+    A = make_set(random.Random(43).sample(range(1, 41), 8), 40)
+    count_distinct_solutions(A, EQ122, method="inclusion_exclusion")
+    alone = len(calls)
+    calls.clear()
+    solution_report(A, EQ122)
+    assert alone and len(calls) == alone
 
 
 def test_counting_handles_empty_set():
