@@ -23,8 +23,8 @@ value creates a solution, and counting all of them, times the orbit size,
 is the enumeration cross-check of the partition sum.  Whether a whole set
 is free is decided by a numpy join of its half-tuples on their weighted
 sums, which is exhaustive at array speed where the walk on a free set is
-exhaustive in Python; the walker then runs only to produce the witness, or
-alone on a set whose sums could overflow int64.
+exhaustive in Python; the walker then runs only to produce the witness.
+The same join lists the forbidden 2k-sets of the exact search in `search`.
 """
 
 from __future__ import annotations
@@ -55,6 +55,10 @@ _DENSE_SPAN_CAP = 1 << 22
 # Below this many (count, term) pairs one dict add per pair beats numpy's
 # fixed cost per call; `check inequalities` makes thousands of such calls.
 _DENSE_WORK_FLOOR = 1 << 10
+# Extra units per half-tuple when the join sums Python ints: tracemalloc
+# puts it at about 130 bytes per half-tuple against 50 in int64, so both
+# branches hold about 8 bytes per unit.
+_OBJECT_SUM_UNITS = 10
 
 
 class WorkBudget:
@@ -426,34 +430,36 @@ def _search_witness(
         del rec  # break the closure's self-reference cycle
 
 
-def _half_tuple_count(n: int, a: Sequence[int]) -> int:
-    """Number of half-tuples over n values: k distinct values placed in the
-    k slots of `a`, increasing across slots that share a coefficient."""
-    count = math.perm(n, len(a))
-    for c in set(a):
-        count //= math.factorial(a.count(c))
-    return count
+def _half_sum_pairs(
+    elements: Sequence[int], a: Sequence[int], budget: WorkBudget
+) -> Iterator[np.ndarray]:
+    """Every pair of disjoint half-tuples over the positive ascending
+    `elements` with equal sums a·x, one nonempty pass at a time.
 
-
-def _half_sums_collide(
-    elements: tuple[int, ...], a: tuple[int, ...], budget: WorkBudget
-) -> bool:
-    """Whether two disjoint half-tuples over `elements` have the same sum
-    a·x, which is whether the set has a distinct-valued solution.
-
-    Every half-tuple is listed as k index columns, its sums are computed in
-    int64 and sorted, and only entries of equal sum are compared: pass d
-    compares each entry with the one d places later in its run, and the
-    entries still in a run at pass d are a subset of those at pass d - 1.
-    The caller guarantees that no sum overflows int64.  The k + 3 int64
-    words held per half-tuple (its indices, its sum, its sort position and
-    the sorted sum) are charged before anything is listed, and each pass's
-    comparisons before they are made.
+    A half-tuple is k distinct values in the k slots of `a`, increasing
+    across slots that share a coefficient; two disjoint ones with equal sums
+    are a distinct-valued solution.  Every half-tuple is listed as k index
+    columns and sorted by its sum, and only entries of equal sum are
+    compared: pass d compares each entry with the one d places later in its
+    run, and the entries still in a run at pass d are a subset of those at
+    pass d - 1.  A pass yields a row per pair: the k indices into `elements`
+    of one half-tuple, then the other's.  Sums are int64 while
+    k·max|a|·max(elements) < 2^63, which bounds every sum, and Python ints
+    past that.  k + 3 units per half-tuple, one per array it is held in
+    (k index columns, sums, sort order, sorted sums), plus
+    `_OBJECT_SUM_UNITS` for Python int sums, are charged before anything is
+    listed, and each pass's comparisons before they are made.
     """
     n = len(elements)
     slots = sorted(a)  # slots sharing a coefficient become adjacent
-    budget.spend((len(slots) + 3) * _half_tuple_count(n, slots))
-    vals = np.asarray(elements, dtype=np.int64)
+    if n < 2 * len(slots):
+        return
+    wide = len(slots) * max(map(abs, slots)) * elements[-1] >= 1 << 63
+    count = math.perm(n, len(slots))  # half-tuples: ties fix their order
+    for c in set(slots):
+        count //= math.factorial(slots.count(c))
+    budget.spend((len(slots) + 3 + (_OBJECT_SUM_UNITS if wide else 0)) * count)
+    vals = np.array(elements, dtype=object if wide else np.int64)
     cols: list[np.ndarray] = []
     for j, c in enumerate(slots):
         # Each row so far extends by every index from lo up, lo being one
@@ -462,7 +468,7 @@ def _half_sums_collide(
         if j and slots[j - 1] == c:
             lo = cols[-1] + 1
         else:
-            lo = np.zeros(len(cols[0]) if cols else 1, dtype=np.int64)
+            lo = np.zeros(len(cols[0]) if cols else 1, dtype=np.int32)
         reps = n - lo
         row = np.repeat(np.arange(len(lo)), reps)
         new = np.arange(len(row)) - np.repeat(np.cumsum(reps) - reps - lo, reps)
@@ -470,8 +476,8 @@ def _half_sums_collide(
         keep = np.ones(len(new), dtype=bool)
         for col in cols:
             keep &= col != new
-        cols = [col[keep] for col in cols + [new]]
-    sums = np.zeros(len(cols[0]), dtype=np.int64)
+        cols = [col[keep] for col in cols + [new.astype(np.int32)]]
+    sums = np.zeros(len(cols[0]), dtype=vals.dtype)
     for c, col in zip(slots, cols):
         sums += c * vals[col]
     order = np.argsort(sums)
@@ -487,55 +493,44 @@ def _half_sums_collide(
             for y in cols:
                 disjoint &= xs != y[second]
         if disjoint.any():
-            return True
+            first, second = first[disjoint], second[disjoint]
+            yield np.stack([x[first] for x in cols] + [y[second] for y in cols], axis=1)
         d += 1
         live = live[live < len(sums) - d]
         budget.spend(live.size)
         live = live[sums[live] == sums[live + d]]
-    return False
 
 
-# What `_decide` returns when the join finds a solution but no walk has
-# produced the witness.
-_COLLISION = object()
-
-
-def _decide(
-    elements: tuple[int, ...], eq: Equation, budget: WorkBudget
-) -> tuple[int, ...] | object | None:
-    """None if `elements` is solution-free; else `_COLLISION` when the join
-    decided, or the walker's first solution for a set whose half-sums could
-    overflow int64, which the walker decides alone.  Every step counts
-    against `budget`.
-    """
-    if len(elements) < 2 * eq.k:
-        return None
-    if eq.k * max(map(abs, eq.a)) * elements[-1] >= 1 << 63:
-        return next(_search_witness(elements, eq, budget), None)
-    return _COLLISION if _half_sums_collide(elements, eq.a, budget) else None
+def _half_sums_collide(
+    elements: tuple[int, ...], a: tuple[int, ...], budget: WorkBudget
+) -> bool:
+    """Whether two disjoint half-tuples over `elements` have the same sum
+    a·x, which is whether the set has a distinct-valued solution.  The join
+    stops at its first nonempty pass."""
+    return next(_half_sum_pairs(elements, a, budget), None) is not None
 
 
 def find_distinct_solution(
     A: IntegerSet, eq: Equation, budget: int = DEFAULT_BUDGET
 ) -> tuple[int, ...] | None:
     """The lexicographically first canonical distinct-valued solution over A
-    in slot order, or None.  One budget covers the decision and the walk
-    that produces the witness after a join collision."""
+    in slot order, or None.  One budget covers the join that decides and
+    the walk that produces the witness after a collision."""
     wb = WorkBudget(budget)
-    hit = _decide(A.elements, eq, wb)
-    if hit is _COLLISION:
-        hit = next(_search_witness(A.elements, eq, wb), None)
-        if hit is None:
-            raise InvariantViolation(
-                f"half-sum join found a solution over {A.elements} for {eq} "
-                "that the walk did not"
-            )
+    if not _half_sums_collide(A.elements, eq.a, wb):
+        return None
+    hit = next(_search_witness(A.elements, eq, wb), None)
+    if hit is None:
+        raise InvariantViolation(
+            f"half-sum join found a solution over {A.elements} for {eq} "
+            "that the walk did not"
+        )
     return hit
 
 
 def is_solution_free(A: IntegerSet, eq: Equation, budget: int = DEFAULT_BUDGET) -> bool:
     """Whether A admits no solution with 2k pairwise different values."""
-    return _decide(A.elements, eq, WorkBudget(budget)) is None
+    return not _half_sums_collide(A.elements, eq.a, WorkBudget(budget))
 
 
 def has_distinct_solution_using(

@@ -10,22 +10,23 @@ Energy bounds tie the search back to the counting layer.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, perm
+from math import comb
+
+import numpy as np
 
 from .construct import greedy_solution_free
 from .counting import (
     DEFAULT_BUDGET,
     WorkBudget,
+    _half_sum_pairs,
     count_all_solutions,
     has_distinct_solution_using,
     is_solution_free,
 )
 from .model import (
-    BudgetExceededError,
     Equation,
     IntegerSet,
     InvariantViolation,
@@ -53,36 +54,34 @@ def build_hypergraph(
     """Enumerate every forbidden 2k-subset of [1, N].
 
     Both halves of the equation carry the coefficients a, so a forbidden set
-    is the union of two disjoint k-tuples x, y with a.x == a.y.  Half-tuples
-    are bucketed by weighted sum and disjoint pairs within a bucket joined.
+    is the union of two disjoint half-tuples x, y with a·x == a·y: each pair
+    the half-sum join of `counting` lists over [1, N], sorted into a row of
+    2k values and kept once however many pairs list it.
 
-    One budget unit per half-tuple and per candidate pair; a budget below
-    perm(N, k) raises before anything is enumerated, exceeding it later
-    raises too, and no partial hypergraph is returned.
+    The join's charge counts against `budget`: k + 3 units per half-tuple,
+    more when its sums pass int64, before [1, N] or any array is built, then
+    the entries each pass compares.  Exceeding it raises, and no partial
+    hypergraph is returned.
     """
     if N < 1:
         raise ValidationError("domain bound N must be >= 1")
-    wb = WorkBudget(budget)
-    if perm(N, eq.k) > budget:
-        raise BudgetExceededError(f"work budget of {budget} steps exhausted")
-    a = sorted(eq.a)
-    # Permuting slots that share a coefficient changes neither the sum nor
-    # the value set, so those slots take increasing values.
-    tied = [i for i in range(1, eq.k) if a[i] == a[i - 1]]
-    buckets: dict[int, list[int]] = {}
-    for x in itertools.permutations(range(1, N + 1), eq.k):
-        if all(x[i - 1] < x[i] for i in tied):
-            bucket = buckets.setdefault(sum(c * v for c, v in zip(a, x)), [])
-            # The new half-tuple, and its candidate pairs with the bucket so far.
-            wb.spend(1 + len(bucket))
-            bucket.append(sum(1 << v for v in x))
-    edge_masks = {
-        m1 | m2
-        for bucket in buckets.values()
-        for m1, m2 in itertools.combinations(bucket, 2)
-        if not m1 & m2
-    }
-    edges = sorted(bit_positions(m) for m in edge_masks)
+    # Rows keep the narrowest dtype that holds N, so that all pairs, listed
+    # before duplicates go, take less room than the edge tuples.
+    passes = [
+        np.sort(rows, axis=1).astype(np.min_scalar_type(N))
+        for rows in _half_sum_pairs(range(1, N + 1), eq.a, WorkBudget(budget))
+    ]
+    rows = np.concatenate(passes) if passes else np.empty((0, 2 * eq.k), np.int32)
+    del passes
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    rows = rows[keep]
+    edges: list[tuple[int, ...]] = []
+    # Index i stands for the value i + 1.  Blocks of rows hold far less
+    # than one tolist() of all of them.
+    for start in range(0, len(rows), 1 << 16):
+        edges.extend(zip(*(rows[start : start + (1 << 16)] + 1).T.tolist()))
     return SolutionHypergraph(N=N, k=eq.k, edges=edges)
 
 

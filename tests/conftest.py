@@ -1,10 +1,21 @@
 """Shared pytest wiring.
 
 Collects the outcome of each test_criterion_* function in the acceptance
-gate and prints one PASS/FAIL line per criterion in the terminal summary.
+gate and prints one PASS/FAIL line per criterion in the terminal summary,
+and fixes the one hypothesis profile the property tests run under.
 """
 
 import re
+
+from hypothesis import settings
+
+# Examples derive from each test's name, so every run draws the same ones;
+# no per-example deadline, since run time swings on a loaded host; and a
+# bounded count keeps the suite's run time flat.
+settings.register_profile(
+    "symfree", derandomize=True, database=None, deadline=None, max_examples=150
+)
+settings.load_profile("symfree")
 
 _CRITERION = re.compile(r"test_criterion_(\d+)_(\w+)")
 _results: dict[int, tuple[str, bool]] = {}

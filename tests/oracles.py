@@ -24,10 +24,13 @@ def brute_counts(elements, full_coeffs):
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
     if n == 0:
         return 0, 0, {(i + 1, j + 1): 0 for i, j in pairs}
-    vals = np.asarray(elements, dtype=np.int64)
+    # Python ints wherever a sum could leave int64, as Python arithmetic does.
+    wide = m * max(map(abs, full_coeffs)) * max(map(abs, elements)) >= 1 << 63
+    dtype = object if wide else np.int64
+    vals = np.asarray(elements, dtype=dtype)
     grid = np.indices((n,) * m).reshape(m, -1)
     V = vals[grid]
-    S = (np.asarray(full_coeffs, dtype=np.int64)[:, None] * V).sum(axis=0)
+    S = (np.asarray(full_coeffs, dtype=dtype)[:, None] * V).sum(axis=0)
     sol = S == 0
     E = int(sol.sum())
     distinct_mask = sol.copy()

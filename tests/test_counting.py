@@ -342,30 +342,25 @@ def test_freeness_decision_matches_oracle_and_walk(monkeypatch):
     assert runs == {("no collision",), ("collision",), ("collision", "walk")}
 
 
-def test_overflowing_half_sums_are_walked(monkeypatch):
-    # Symmetric equations are translation-invariant, so a shift by about
-    # 2^61 keeps a set free and shifts a witness by the same amount.  The
-    # shifted half-sums overflow int64, so only the walker may decide.
-    import symfree.counting as counting_mod
-
+def test_overflowing_half_sums_decide_exactly():
+    # Symmetric equations are translation-invariant, so a shift keeps a set
+    # free and shifts a witness by the same amount.  The shifted half-sums
+    # pass int64, so the join sums Python ints; past 2^63 the values
+    # themselves no longer fit an int64.
     free = make_set([4, 17, 41, 100, 172, 190, 199], 199)
     not_free = make_set(range(1, 8), 7)
     assert brute_counts(free.elements, EQ122.full_coefficients())[1] == 0
     witness = find_distinct_solution(not_free, EQ122)
     assert witness == (1, 2, 7, 5, 3, 4)
-    shift = 1 << 61
-
-    def shifted(A):
-        return make_set([v + shift for v in A], A.elements[-1] + shift)
-
-    def no_join(*args):
-        raise AssertionError("the join ran on sums that overflow int64")
-
-    monkeypatch.setattr(counting_mod, "_half_sums_collide", no_join)
-    assert is_solution_free(shifted(free), EQ122)
-    assert find_distinct_solution(shifted(free), EQ122) is None
-    assert not is_solution_free(shifted(not_free), EQ122)
-    assert find_distinct_solution(shifted(not_free), EQ122) == tuple(v + shift for v in witness)
+    for shift in (1 << 61, 1 << 70):
+        free_s, not_free_s = (
+            make_set([v + shift for v in A], A.elements[-1] + shift)
+            for A in (free, not_free)
+        )
+        assert is_solution_free(free_s, EQ122)
+        assert find_distinct_solution(free_s, EQ122) is None
+        assert not is_solution_free(not_free_s, EQ122)
+        assert find_distinct_solution(not_free_s, EQ122) == tuple(v + shift for v in witness)
 
 
 def test_pinned_search_matches_oracle_for_two_representative_slots():

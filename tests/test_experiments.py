@@ -67,7 +67,8 @@ def test_rn_table_deterministic():
 
 
 def test_rn_table_subset_budget():
-    # perm(5000, 2) half-tuples exceed the search's default subset budget.
+    # The join's charge for C(5000, 2) half-tuples exceeds the search's
+    # default subset budget, so the table stops before building anything.
     with pytest.raises(BudgetExceededError):
         run_rn_table(EQ11, 5000)
 

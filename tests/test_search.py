@@ -64,6 +64,15 @@ def test_hypergraph_matches_permutation_oracle():
             assert build_hypergraph(n, eq).edges == brute_edges(n, full)
 
 
+def test_hypergraph_sums_past_int64_stay_exact():
+    # With a3 = 2^62 the half-tuples (1, 4, 5) and (2, 3, 9) sum to
+    # 5 + 5 * 2^62 and 5 + 9 * 2^62, which agree mod 2^64: int64 sums would
+    # list a false edge.
+    eq = parse_equation("1,1,4611686018427387904")
+    assert build_hypergraph(9, eq).edges == brute_edges(9, eq.full_coefficients()) == []
+    assert is_solution_free(make_set(range(1, 10), 9), eq)
+
+
 def test_hypergraph_budget():
     with pytest.raises(BudgetExceededError):
         build_hypergraph(10, EQ11, budget=5)
