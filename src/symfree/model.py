@@ -45,8 +45,8 @@ def bit_positions(mask: int, offset: int = 0) -> tuple[int, ...]:
     each plus `offset`.
 
     A mask with about one set bit in ten or more is read in one pass over
-    its binary digits, at a cost that grows with its length; a sparser one,
-    such as a hyperedge, is stepped through one set bit at a time.
+    its binary digits, at a cost that grows with its length; a sparser one
+    is stepped through one set bit at a time.
     """
     if 10 * mask.bit_count() >= mask.bit_length() + 50:
         digits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)

@@ -3,13 +3,16 @@ inequalities that relate their sizes and energies.
 
 Set arithmetic here works on arbitrary finite integer sets (zero and negative
 members included), represented as strictly increasing tuples.  IntegerSet
-inputs are accepted anywhere and are read through their elements.  When the
-output span is small the kernels run on bit masks packed into Python ints;
-otherwise they fall back to hash-set accumulation.
+inputs are accepted anywhere and are read through their elements.  Every sum
+is one fold, `_weighted_sums`, over (set, coefficient) terms: when the spans
+of the scaled terms add up to a small total, it keeps one bit mask packed
+into a Python int across all the terms and decodes it once; otherwise it
+accumulates a hash set.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,35 +47,41 @@ def _require_nonempty(*sets: tuple[int, ...]) -> None:
             raise ValidationError("set operations need nonempty sets")
 
 
-def _pair_sums(a: tuple[int, ...], b: tuple[int, ...], sign: int) -> tuple[int, ...]:
-    """All values x + sign*y for x in a, y in b."""
-    bb = tuple(sign * v for v in b)
-    lo = a[0] + min(bb)
-    hi = a[-1] + max(bb)
-    span = hi - lo + 1
-    if span <= _MASK_SPAN_LIMIT:
-        mask_a = 0
-        for v in a:
-            mask_a |= 1 << (v - a[0])
-        acc = 0
-        for w in bb:
-            acc |= mask_a << (a[0] + w - lo)
-        return bit_positions(acc, lo)
-    return tuple(sorted({x + w for x in a for w in bb}))
+def _weighted_sums(terms: Sequence[tuple[tuple[int, ...], int]]) -> tuple[int, ...]:
+    """Every value c1*x1 + ... + cl*xl, ascending, for (elements, c) terms
+    with nonempty ascending elements and nonzero c, xi taken from the i-th
+    term's elements.
+
+    Each term is scaled once.  When the spans max - min of the scaled terms
+    add up to less than `_MASK_SPAN_LIMIT`, one mask holds the sums so far,
+    bit j for the least sum plus j; a term ORs together the mask shifted by
+    each c*x - min(c*A), and the mask is decoded once at the end.
+    """
+    _require_nonempty(*(elems for elems, _ in terms))
+    scaled = [[c * x for x in (elems if c > 0 else reversed(elems))] for elems, c in terms]
+    if sum(t[-1] - t[0] for t in scaled) < _MASK_SPAN_LIMIT:
+        mask = 1
+        for t in scaled:
+            lo = t[0]
+            acc = 0
+            for v in t:
+                acc |= mask << (v - lo)
+            mask = acc
+        return bit_positions(mask, sum(t[0] for t in scaled))
+    sums = {0}
+    for t in scaled:
+        sums = {s + v for s in sums for v in t}
+    return tuple(sorted(sums))
 
 
 def sumset(A, B) -> tuple[int, ...]:
     """A + B = {a + b : a in A, b in B}."""
-    a, b = _elements(A), _elements(B)
-    _require_nonempty(a, b)
-    return _pair_sums(a, b, 1)
+    return _weighted_sums([(_elements(A), 1), (_elements(B), 1)])
 
 
 def difference(A, B) -> tuple[int, ...]:
     """A - B = {a - b : a in A, b in B}."""
-    a, b = _elements(A), _elements(B)
-    _require_nonempty(a, b)
-    return _pair_sums(a, b, -1)
+    return _weighted_sums([(_elements(A), 1), (_elements(B), -1)])
 
 
 def dilate(t: int, A) -> tuple[int, ...]:
@@ -88,12 +97,7 @@ def iterated_sumset(k: int, B) -> tuple[int, ...]:
     """kB = B + B + ... + B with k summands, k >= 1."""
     if k < 1:
         raise ValidationError("need at least one summand")
-    b = _elements(B)
-    _require_nonempty(b)
-    acc = b
-    for _ in range(k - 1):
-        acc = _pair_sums(acc, b, 1)
-    return acc
+    return _weighted_sums([(_elements(B), 1)] * k)
 
 
 @dataclass(frozen=True)
@@ -120,11 +124,7 @@ def sum_of_dilates(spec, A) -> tuple[int, ...]:
     if not isinstance(spec, DilateSpec):
         spec = DilateSpec(tuple(spec))
     a = _elements(A)
-    _require_nonempty(a)
-    acc = dilate(spec.s[0], a)
-    for c in spec.s[1:]:
-        acc = _pair_sums(acc, dilate(c, a), 1)
-    return acc
+    return _weighted_sums([(a, c) for c in spec.s])
 
 
 @dataclass(frozen=True)
@@ -157,11 +157,9 @@ class PlunneckeResult:
 def plunnecke_check(A, B, k: int) -> PlunneckeResult:
     if k < 1:
         raise ValidationError("iterated sumset order must be >= 1")
-    a, b = _elements(A), _elements(B)
-    _require_nonempty(a, b)
-    n_a = len(a)
-    n_ab = len(sumset(a, b))
-    n_kb = len(iterated_sumset(k, b))
+    n_ab = len(sumset(A, B))
+    n_kb = len(iterated_sumset(k, B))
+    n_a = len(_elements(A))
     lhs = n_kb * n_a**k
     bound = n_ab**k * n_a
     return PlunneckeResult(
@@ -181,28 +179,20 @@ class EnergyLowerResult:
 
 
 def cs_energy_lower_check(sets: Sequence[tuple[IntegerSet, int]]) -> EnergyLowerResult:
-    """Cauchy-Schwarz lower bound: E * |c1*A1 + ... + cl*Al| >= (prod |Ai|)^2."""
+    """Cauchy-Schwarz lower bound: E * |c1*A1 + ... + cl*Al| >= (prod |Ai|)^2,
+    for IntegerSets Ai and coefficients ci >= 1."""
     sets = list(sets)
     if not sets:
         raise ValidationError("at least one (set, coefficient) pair is required")
-    for s, c in sets:
-        if not _elements(s):
-            raise ValidationError("set operations need nonempty sets")
-        if c < 1:
-            raise ValidationError("dilate coefficients must be integers >= 1")
-    E = energy(sets, sets)
-    acc = dilate(sets[0][1], sets[0][0])
-    for s, c in sets[1:]:
-        acc = _pair_sums(acc, dilate(c, s), 1)
-    product = 1
+    DilateSpec(tuple(c for _, c in sets))  # validates the coefficients
     for s, _ in sets:
-        product *= len(_elements(s))
-    product_sq = product * product
+        if not isinstance(s, IntegerSet):
+            raise ValidationError(f"expected an IntegerSet, got {type(s).__name__}")
+    size = len(_weighted_sums([(s.elements, c) for s, c in sets]))
+    E = energy(sets, sets)
+    product_sq = math.prod(len(s.elements) for s, _ in sets) ** 2
     return EnergyLowerResult(
-        E=E,
-        sumset_size=len(acc),
-        product_sq=product_sq,
-        holds=E * len(acc) >= product_sq,
+        E=E, sumset_size=size, product_sq=product_sq, holds=E * size >= product_sq
     )
 
 

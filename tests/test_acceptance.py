@@ -8,6 +8,7 @@ fill the shared registries; each also seeds its own baseline pool so it
 stays meaningful when run in isolation.
 """
 
+import hashlib
 import itertools
 import os
 import random
@@ -193,27 +194,52 @@ def test_criterion_5_energy_upper_bound_on_solution_free_sets():
     assert failures == []
 
 
+# Criterion 8's commands, each with its pinned exit code and stdout sha256.
+# "{set}" and "{points}" stand for the input files the test writes.  The pins
+# hold CLI output fixed across commits, not only across two runs: a change
+# that means to alter one of these outputs re-pins it here and names the
+# change in CHANGES.md.
+CLI_PINS = [
+    ("construct ruzsa --d 2 --k 3 --N 1728", 0,
+     "87570e537c5707b2cdc44394f6ff968489bc6f13128531ceda88769b82cf8e61"),
+    ("count energy --eq 1,1 --set {set}", 0,
+     "ba29d83d0d52cd590342d9491ca8dc0f52c06034c1f060c53119267ecd5e881d"),
+    ("count solutions --eq 1,2,2 --set {set}", 0,
+     "ee3598d7429ac1384f683608e2d1bb900615287292d0fe1120f0c0c6694b78b3"),
+    ("count distinct --eq 1,1 --set {set} --method enumerate", 0,
+     "1ad442e204d690552aeee93e4037d1e97a454db7e1724a9a5f80b074e2c65c47"),
+    ("count distinct --eq 1,1 --set {set} --method inclusion_exclusion", 0,
+     "edbf9e0e6e57ff1aa7fb32e4e361aaeb00b6237c2108c83aa554846d0b227d34"),
+    ("verify solution-free --eq 1,1 --set {set}", 0,
+     "d49c854b920836c7285c9ed11d41dfabc2e7a356f186b2ff2b4c98acc7eaf1c8"),
+    ("search exact --eq 1,1 --N 12", 0,
+     "e39d9fa43bb1621796f932f1d4c6705a8ae2d5d0dc740d272084d33b92229a04"),
+    ("search heuristic --eq 1,1 --N 14 --trials 8 --seed 5", 0,
+     "cbe4eeedb061b6d88edf34fa1ae938d1c33080869cdf7e76a6dc0c82a1efdf43"),
+    ("check inequalities --trials 60 --seed 9", 0,
+     "4604112c376d9c4718b188d84aca4bbdeec562e5bf93039c4f1c23177177b01e"),
+    ("check inequalities --trials 2500 --seed 4", 0,
+     "91f04290d23992621e8cb9a929ad8d848b2e0935c56850e2752df0aa05b47a77"),
+    ("check bounds --eq 1,1 --set {set}", 0,
+     "ef30eab09e484d12cfae34a2fdba73738051ea15de60ae918e1408c5e28ec425"),
+    ("table rn --eq 1,1 --N 10", 0,
+     "4d34269dcd6be6bf430bc0cc56a41a049e80b3ae88de5a41d8746df4ce67441b"),
+    ("table rn --eq 1,1 --N 10 --json", 0,
+     "4f830062e0baa28859b8eb290cd1f081a471655521e0852b11932b60d7bb2e7c"),
+    ("fit --points {points}", 0,
+     "c3b93cad7ffd99b59d79b501eab2ead8ad99a2c8d15ec419b6498a29765ad255"),
+]
+
+
 def test_criterion_8_cli_byte_determinism(tmp_path):
+    """Every pinned command prints the same stdout under two hash seeds,
+    nothing on stderr, and the exit code and stdout sha256 it is pinned to."""
     set_file = tmp_path / "set.txt"
     set_file.write_text("1\n2\n5\n7\n", encoding="utf-8")
     points_file = tmp_path / "points.csv"
     points_file.write_text("N,size\n4,2\n9,3\n25,5\n36,6\n", encoding="utf-8")
-    commands = [
-        ["construct", "ruzsa", "--d", "2", "--k", "3", "--N", "1728"],
-        ["count", "energy", "--eq", "1,1", "--set", str(set_file)],
-        ["count", "solutions", "--eq", "1,2,2", "--set", str(set_file)],
-        ["count", "distinct", "--eq", "1,1", "--set", str(set_file), "--method", "enumerate"],
-        ["count", "distinct", "--eq", "1,1", "--set", str(set_file), "--method", "inclusion_exclusion"],
-        ["verify", "solution-free", "--eq", "1,1", "--set", str(set_file)],
-        ["search", "exact", "--eq", "1,1", "--N", "12"],
-        ["search", "heuristic", "--eq", "1,1", "--N", "14", "--trials", "8", "--seed", "5"],
-        ["check", "inequalities", "--trials", "60", "--seed", "9"],
-        ["check", "bounds", "--eq", "1,1", "--set", str(set_file)],
-        ["table", "rn", "--eq", "1,1", "--N", "10"],
-        ["table", "rn", "--eq", "1,1", "--N", "10", "--json"],
-        ["fit", "--points", str(points_file)],
-    ]
-    for argv in commands:
+    for line, code, digest in CLI_PINS:
+        argv = [arg.format(set=set_file, points=points_file) for arg in line.split()]
         outputs = []
         # different hash seeds so dict/set iteration cannot sneak into output
         for hash_seed in ("1", "31337"):
@@ -223,8 +249,9 @@ def test_criterion_8_cli_byte_determinism(tmp_path):
                 capture_output=True,
                 env=env,
             )
-            assert proc.returncode == 0, (argv, proc.stderr)
+            assert proc.returncode == code, (argv, proc.stderr)
             assert proc.stderr == b""
             outputs.append(proc.stdout)
         assert outputs[0]
         assert outputs[0] == outputs[1], argv
+        assert hashlib.sha256(outputs[0]).hexdigest() == digest, argv

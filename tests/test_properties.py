@@ -1,11 +1,26 @@
-"""Randomized differential tests of the half-sum join and the witness walk
-against the brute-force oracles, over signed and repeated coefficients."""
+"""Randomized differential tests against the brute-force oracles: the
+half-sum join, the witness walk and the solution counts over signed and
+repeated coefficients, and the set sums over signed sets."""
+
+import math
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import brute_counts, brute_edges
-from symfree import Equation, find_distinct_solution, is_solution_free, make_set
+from oracles import brute_counts, brute_difference, brute_edges, brute_rep, brute_sumset
+from symfree import (
+    Equation,
+    count_all_solutions,
+    count_distinct_solutions,
+    cs_energy_lower_check,
+    difference,
+    find_distinct_solution,
+    is_solution_free,
+    iterated_sumset,
+    make_set,
+    sum_of_dilates,
+    sumset,
+)
 from symfree.counting import WorkBudget, _search_witness
 from symfree.search import build_hypergraph
 
@@ -46,3 +61,69 @@ def test_witness_is_the_walks_first_solution(case):
     A, eq = case
     first = next(_search_witness(A.elements, eq, WorkBudget()), None)
     assert find_distinct_solution(A, eq) == first
+
+
+# Fewer huge coefficients and denser sets, of at least 2k - 1 values, than
+# the freeness tests draw, so that more cases have solutions to count.
+small_equations = st.lists(st.integers(-3, 3).filter(bool), min_size=2, max_size=3).map(
+    lambda a: Equation(tuple(a))
+)
+
+
+@st.composite
+def dense_sets_with_equation(draw):
+    eq = draw(small_equations | equations)
+    values = st.sets(st.integers(1, 10), min_size=2 * eq.k - 1, max_size=7 if eq.k == 3 else 10)
+    return make_set(draw(values), 10), eq
+
+
+@given(dense_sets_with_equation())
+def test_solution_counts_match_oracle(case):
+    A, eq = case
+    E, distinct, _ = brute_counts(A.elements, eq.full_coefficients())
+    assert count_all_solutions(A, eq) == E
+    assert count_distinct_solutions(A, eq, "enumerate") == distinct
+    assert count_distinct_solutions(A, eq, "inclusion_exclusion") == distinct
+
+
+def _mostly(near, far):
+    """Draws from `near`, except about one draw in eight from `far`."""
+    return st.integers(0, 7).flatmap(lambda i: st.sampled_from(far) if i == 0 else near)
+
+
+# Members near zero, with an occasional far one that spreads a set over 2^20
+# or more and sends its sums down the hash-set path.
+signed_sets = st.lists(
+    _mostly(st.integers(-12, 12), (1 << 20, -(1 << 20), (1 << 21) + 3)), min_size=1, max_size=8
+).map(lambda v: tuple(sorted(set(v))))
+dilates = st.lists(st.integers(1, 4), min_size=1, max_size=3)
+_TOP = (1 << 20) + 1
+weighted_sets = st.lists(
+    st.tuples(st.sets(_mostly(st.integers(1, 12), (_TOP,)), min_size=1, max_size=6), st.integers(1, 4)),
+    min_size=1,
+    max_size=3,
+)
+
+
+@given(signed_sets, signed_sets, st.integers(1, 4))
+def test_set_sums_match_products(A, B, k):
+    assert list(sumset(A, B)) == brute_sumset(A, B)
+    assert list(difference(A, B)) == brute_difference(A, B)
+    assert iterated_sumset(k, B) == tuple(sorted(brute_rep([B] * k, [1] * k)))
+
+
+@given(signed_sets, dilates)
+def test_sum_of_dilates_matches_product(A, coeffs):
+    assert sum_of_dilates(coeffs, A) == tuple(sorted(brute_rep([A] * len(coeffs), coeffs)))
+
+
+@given(weighted_sets)
+def test_cs_energy_lower_check_matches_product(pairs):
+    sets = [(make_set(values, _TOP), c) for values, c in pairs]
+    rep = brute_rep([s.elements for s, _ in sets], [c for _, c in sets])
+    product = math.prod(len(s.elements) for s, _ in sets)
+    res = cs_energy_lower_check(sets)
+    assert res.E == sum(r * r for r in rep.values())
+    assert res.sumset_size == len(rep)
+    assert res.product_sq == product**2
+    assert res.holds

@@ -81,8 +81,9 @@ def test_hypergraph_budget():
 
 
 def test_hypergraph_budget_checked_before_enumeration():
-    # perm(2000, 2) exceeds the budget, so nothing is enumerated; spending
-    # per half-tuple alone would first hold tens of thousands of them.
+    # The join charges k + 3 units for each of the C(2000, 2) half-tuples
+    # before it lists any, about 10^7 in all, so nothing is enumerated;
+    # charging as it went would first hold tens of thousands of them.
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import brute_difference, brute_sumset
+from oracles import brute_difference, brute_rep, brute_sumset
 from symfree import (
     DilateSpec,
     ValidationError,
@@ -17,7 +17,8 @@ from symfree import (
     sum_of_dilates,
     sumset,
 )
-from symfree.setops import _pair_sums, sample_integer_set
+from symfree import setops
+from symfree.setops import _weighted_sums, sample_integer_set
 
 
 def _rand_set(rng, span=40, allow_negative=True):
@@ -165,7 +166,39 @@ def test_trial_driver_validation():
         run_inequality_trials(0, seed=1)
 
 
-def test_pair_sums_internal_consistency_on_extremes():
-    # single-element operands and mixed signs exercise the mask offsets
-    assert _pair_sums((-5,), (5,), 1) == (0,)
-    assert _pair_sums((-5, 5), (-5, 5), -1) == (-10, 0, 10)
+def test_cs_energy_validates_sets_and_coefficients():
+    A = make_set([1, 2, 3], 3)
+    with pytest.raises(ValidationError, match="IntegerSet"):
+        cs_energy_lower_check([((1, 2, 3), 1)])
+    for c in (True, 0, -1, 2.0):
+        with pytest.raises(ValidationError, match="dilate coefficients"):
+            cs_energy_lower_check([(A, c)])
+    with pytest.raises(ValidationError, match="nonempty"):
+        cs_energy_lower_check([(A, 1), (make_set([], 3), 2)])
+    with pytest.raises(ValidationError, match="at least one"):
+        cs_energy_lower_check([])
+
+
+def test_weighted_sums_on_extremes(monkeypatch):
+    # Single-element terms, mixed signs, a lone term, and spans that sit on
+    # either side of the mask limit once the terms are added up.
+    limit = setops._MASK_SPAN_LIMIT
+    cases = [
+        [((-5,), 1), ((5,), 1)],
+        [((-5, 5), 1), ((-5, 5), -1)],
+        [((0, 1), 1), ((0, 1), -2), ((-3, 1, 4), 3)],
+        [((-7, 0, 7), 5)],
+        [((0, limit - 1), 1)],
+        [((0, limit // 2), 1), ((0, limit // 2), -1)],
+    ]
+    assert _weighted_sums(cases[0]) == (0,)
+    assert _weighted_sums(cases[1]) == (-10, 0, 10)
+    for terms in cases:
+        expected = tuple(sorted(brute_rep([e for e, _ in terms], [c for _, c in terms])))
+        assert _weighted_sums(terms) == expected
+        for forced in (0, 1 << 40):  # the hash-set path, then the mask path
+            with monkeypatch.context() as m:
+                m.setattr(setops, "_MASK_SPAN_LIMIT", forced)
+                assert _weighted_sums(terms) == expected
+    with pytest.raises(ValidationError):
+        _weighted_sums([((1,), 1), ((), 2)])
