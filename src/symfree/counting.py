@@ -9,12 +9,15 @@ of one half of C against the other half negated, from the representation
 function of each half (how many tuples reach each weighted sum), and a memo
 keyed by the multiset lets the counts of one report share each Z.
 
-Each convolution step adds the counts so far, shifted by each term c*x.
-When the step pairs at least `_DENSE_WORK_FLOOR` (count, term) pairs and
-they populate the output range well, numpy does the adds on one array over
-that range: in int64 while the counts sum below 2^63, which bounds every
-entry, and otherwise on Python ints in an object array.  Smaller or sparser
-steps add into a dict, one pair at a time.
+A representation function is built one set at a time: each step adds the
+counts so far, shifted by each term c*x.  Its route is decided once, from
+the whole system.  When it has at least `_DENSE_WORK_FLOOR` tuples and the
+range of its sums is at most 8 times that count and `_DENSE_SPAN_CAP`,
+numpy does every step's adds on one array over the range so far: int64
+while the tuple count before the step stays below 2^63, which bounds every
+entry, and Python ints in an object array from then on.  The last array is
+read back into a dict once.  Smaller or sparser systems add into one dict,
+one (sum, term) pair at a time.
 
 One depth-first walker visits the distinct-valued solutions over any given
 set, a canonical member of each orbit of the slot symmetries.  Its first
@@ -42,18 +45,19 @@ from .model import (
     IntegerSet,
     InvariantViolation,
     ValidationError,
+    scale,
 )
 
 DEFAULT_BUDGET = 10**9
 
-# The dense branch of `_convolve` lays the output out as one numpy array over
-# [min, max] and adds the counts into it once per term: int64 while the
-# counts sum below 2^63, Python ints in an object array past that.  Beyond
-# this span the array (32 MB of int64 at the cap) would dominate memory, so
-# the step stays sparse.
+# The dense route of `_rep_counts` lays the counts out as one numpy array over
+# the range of the sums: int64 while the tuple count stays below 2^63, Python
+# ints in an object array past that.  Beyond this span the array (32 MB of
+# int64 at the cap) would dominate memory, so the system stays sparse.
 _DENSE_SPAN_CAP = 1 << 22
-# Below this many (count, term) pairs one dict add per pair beats numpy's
-# fixed cost per call; `check inequalities` makes thousands of such calls.
+# Below this many tuples one dict add per (sum, term value) pair beats
+# numpy's fixed cost per call; `check inequalities` makes thousands of such
+# calls.
 _DENSE_WORK_FLOOR = 1 << 10
 # Extra units per half-tuple when the join sums Python ints: tracemalloc
 # puts it at about 130 bytes per half-tuple against 50 in int64, so both
@@ -98,35 +102,39 @@ class RepFunction:
         return self.counts.get(value, 0)
 
 
-def _convolve(counts: dict[int, int], terms: list[int]) -> dict[int, int]:
-    """The map m -> sum of counts[m - t] over the terms t, which must be
-    pairwise different: then no output entry exceeds the sum of the counts,
-    the bound the dense branch's int64 guard rests on."""
-    if not counts or not terms:
-        return {}
-    cmin, cmax = min(counts), max(counts)
-    tmin = min(terms)
-    lo = cmin + tmin
-    span = cmax + max(terms) - lo + 1
-    work = len(counts) * len(terms)
-    if work >= _DENSE_WORK_FLOOR and span <= _DENSE_SPAN_CAP and work * 8 >= span:
-        dtype = np.int64 if sum(counts.values()) < 1 << 63 else object
-        width = cmax - cmin + 1
-        src = np.zeros(width, dtype=dtype)
-        src[[m - cmin for m in counts]] = list(counts.values())
-        out = np.zeros(span, dtype=dtype)
-        for t in terms:
-            start = t - tmin
-            out[start : start + width] += src
-        nz = np.flatnonzero(out)
-        return {lo + i: v for i, v in zip(nz.tolist(), out[nz].tolist())}
-    out: dict[int, int] = {}
-    get = out.get
-    for m, c in counts.items():
-        for t in terms:
-            key = m + t
-            out[key] = get(key, 0) + c
-    return out
+def _rep_counts(terms: list[list[int]]) -> dict[int, int]:
+    """counts[m] = #{(t1, ..., tl) : ti in terms[i], t1 + ... + tl = m} for
+    nonempty ascending terms of pairwise different values.  As a term's
+    values differ, no entry exceeds the tuple count before its step, so the
+    dense route's array stays int64 while that count is below 2^63."""
+    tuples = math.prod(map(len, terms))
+    if tuples >= _DENSE_WORK_FLOOR and (
+        sum(t[-1] - t[0] for t in terms) < min(_DENSE_SPAN_CAP, 8 * tuples)
+    ):
+        lo, before = terms[0][0], len(terms[0])
+        arr = np.zeros(terms[0][-1] - lo + 1, dtype=np.int64)
+        arr[[v - lo for v in terms[0]]] = 1
+        for t in terms[1:]:
+            if before >= 1 << 63 and arr.dtype != object:
+                arr = arr.astype(object)
+            n, lo = len(arr), t[0]
+            new = np.zeros(n + t[-1] - lo, dtype=arr.dtype)
+            for v in t:
+                new[v - lo : v - lo + n] += arr
+            arr, before = new, before * len(t)
+        nz = np.flatnonzero(arr)
+        base = sum(t[0] for t in terms)
+        return {base + i: c for i, c in zip(nz.tolist(), arr[nz].tolist())}
+    counts = {0: 1}
+    for t in terms:
+        out: dict[int, int] = {}
+        get = out.get
+        for m, c in counts.items():
+            for v in t:
+                key = m + v
+                out[key] = get(key, 0) + c
+        counts = out
+    return counts
 
 
 def rep_function(sets: Sequence[IntegerSet], coeffs: Sequence[int]) -> RepFunction:
@@ -139,15 +147,24 @@ def rep_function(sets: Sequence[IntegerSet], coeffs: Sequence[int]) -> RepFuncti
         raise ValidationError("at least one set is required")
     if len(sets) != len(coeffs):
         raise ValidationError("sets and coefficients must have equal length")
-    if any(c == 0 for c in coeffs):
-        raise ValidationError("coefficients must be nonzero")
-    total = math.prod(len(s.elements) for s in sets)
-    counts: dict[int, int] = {0: 1}
     for s, c in zip(sets, coeffs):
-        counts = _convolve(counts, [c * v for v in s.elements])
-        if not counts:
-            break
+        if not isinstance(s, IntegerSet):
+            raise ValidationError(f"expected an IntegerSet, got {type(s).__name__}")
+        if not isinstance(c, int) or isinstance(c, bool):
+            raise ValidationError(f"coefficient {c!r} is not an integer")
+        if c == 0:
+            raise ValidationError("coefficients must be nonzero")
+    total = math.prod(len(s.elements) for s in sets)
+    counts = _rep_counts([scale(s.elements, c) for s, c in zip(sets, coeffs)]) if total else {}
     return RepFunction(counts=counts, total=total)
+
+
+def _system(items: list) -> tuple[list, list]:
+    """The sets and the coefficients of a list of (set, coefficient) pairs."""
+    try:
+        return [s for s, _ in items], [c for _, c in items]
+    except (TypeError, ValueError):
+        raise ValidationError("energy takes (set, coefficient) pairs") from None
 
 
 def energy(lhs, rhs) -> int:
@@ -155,8 +172,8 @@ def energy(lhs, rhs) -> int:
     same value.  Each side is a sequence of (IntegerSet, coefficient) pairs."""
     lhs = list(lhs)
     rhs = list(rhs)
-    r1 = rep_function([s for s, _ in lhs], [c for _, c in lhs])
-    r2 = r1 if lhs == rhs else rep_function([s for s, _ in rhs], [c for _, c in rhs])
+    r1 = rep_function(*_system(lhs))
+    r2 = r1 if lhs == rhs else rep_function(*_system(rhs))
     small, big = (r1, r2) if len(r1.counts) <= len(r2.counts) else (r2, r1)
     return sum(c * big.counts.get(m, 0) for m, c in small.counts.items())
 

@@ -45,6 +45,8 @@ def run_rn_table(
     n0 = 2 * eq.k - 1
     if n_max < n0:
         raise ValidationError(f"table needs n_max >= {n0}")
+    if trials < 1:
+        raise ValidationError("trial count must be >= 1")
     walk = exact_max_solution_free(n_max, eq, budget=node_budget)
     rows = [
         RnRow(N=N, size=len(w), exact=True, witness=w)

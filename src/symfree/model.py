@@ -60,6 +60,12 @@ def bit_positions(mask: int, offset: int = 0) -> tuple[int, ...]:
     return tuple(out)
 
 
+def scale(elements, c: int) -> list[int]:
+    """c * x for every x of the ascending `elements`, ascending: reversed
+    when c < 0."""
+    return [c * x for x in (elements if c > 0 else reversed(elements))]
+
+
 @dataclass(frozen=True)
 class Equation:
     """Nonzero coefficients (a1, ..., ak), k >= 2."""

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .counting import energy
-from .model import IntegerSet, ValidationError, bit_positions, make_set
+from .model import IntegerSet, ValidationError, bit_positions, make_set, scale
 
 _MASK_SPAN_LIMIT = 1 << 20
 
@@ -58,7 +58,7 @@ def _weighted_sums(terms: Sequence[tuple[tuple[int, ...], int]]) -> tuple[int, .
     each c*x - min(c*A), and the mask is decoded once at the end.
     """
     _require_nonempty(*(elems for elems, _ in terms))
-    scaled = [[c * x for x in (elems if c > 0 else reversed(elems))] for elems, c in terms]
+    scaled = [scale(elems, c) for elems, c in terms]
     if sum(t[-1] - t[0] for t in scaled) < _MASK_SPAN_LIMIT:
         mask = 1
         for t in scaled:

@@ -100,3 +100,23 @@ def brute_sumset(A, B):
 
 def brute_difference(A, B):
     return sorted({a - b for a in A for b in B})
+
+
+def has_distinct_solution(values, full_coeffs) -> bool:
+    """Whether some 2k of the values, in some order, zero the weighted sum."""
+    return any(
+        subset_solves_somehow(subset, full_coeffs)
+        for subset in itertools.combinations(values, len(full_coeffs))
+    )
+
+
+def brute_max_free_sizes(N: int, full_coeffs):
+    """Power-set sweep of [1, N]: entry m - 1 is the largest size of a
+    subset of [1, m] that contains no forbidden subset."""
+    edges = [sum(1 << (v - 1) for v in e) for e in brute_edges(N, full_coeffs)]
+    best = [0] * (N + 1)
+    for mask in range(1 << N):
+        if not any(mask & e == e for e in edges):
+            top = mask.bit_length()
+            best[top] = max(best[top], mask.bit_count())
+    return list(itertools.accumulate(best[1:], max))

@@ -195,7 +195,10 @@ def test_criterion_5_energy_upper_bound_on_solution_free_sets():
 
 
 # Criterion 8's commands, each with its pinned exit code and stdout sha256.
-# "{set}" and "{points}" stand for the input files the test writes.  The pins
+# "{set}", "{dense}", "{wide}" and "{points}" stand for the input files the
+# test writes: {1, 2, 5, 7}, whose counts stay on the dict route; every fifth
+# value from 3 to 398, whose counts take the numpy route; and the powers 3^i
+# for i = 1..30, whose sums spread too wide for numpy.  The pins
 # hold CLI output fixed across commits, not only across two runs: a change
 # that means to alter one of these outputs re-pins it here and names the
 # change in CHANGES.md.
@@ -228,18 +231,33 @@ CLI_PINS = [
      "4f830062e0baa28859b8eb290cd1f081a471655521e0852b11932b60d7bb2e7c"),
     ("fit --points {points}", 0,
      "c3b93cad7ffd99b59d79b501eab2ead8ad99a2c8d15ec419b6498a29765ad255"),
+    ("count solutions --eq 1,2,2 --set {dense}", 0,
+     "40e2f18b483efe383a2f08d9723a8086b1cb31660c285d1e3b87fd7073d5a108"),
+    ("count energy --eq 1,1,1 --set {dense}", 0,
+     "7b2b560981be0a0f72707e09c229edf43b53330a0dfab76801a7afb2d6e6c27e"),
+    ("count solutions --eq 1,2 --set {wide}", 0,
+     "8fc3112dbe42b8b84e59b4bc0dc0d152cab7c51f239235e36e6cd12400be3a3d"),
+    ("check bounds --eq 1,2 --set {wide}", 0,
+     "a6b891561ea46135f1a4d7c1a21d50d3e3e05023fa3e7f2f806160e77183f48f"),
 ]
 
 
 def test_criterion_8_cli_byte_determinism(tmp_path):
     """Every pinned command prints the same stdout under two hash seeds,
     nothing on stderr, and the exit code and stdout sha256 it is pinned to."""
-    set_file = tmp_path / "set.txt"
-    set_file.write_text("1\n2\n5\n7\n", encoding="utf-8")
-    points_file = tmp_path / "points.csv"
-    points_file.write_text("N,size\n4,2\n9,3\n25,5\n36,6\n", encoding="utf-8")
+    files = {
+        "set": [1, 2, 5, 7],
+        "dense": range(3, 400, 5),
+        "wide": [3**i for i in range(1, 31)],
+    }
+    paths = {}
+    for name, values in files.items():
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text("".join(f"{v}\n" for v in values), encoding="utf-8")
+    paths["points"] = tmp_path / "points.csv"
+    paths["points"].write_text("N,size\n4,2\n9,3\n25,5\n36,6\n", encoding="utf-8")
     for line, code, digest in CLI_PINS:
-        argv = [arg.format(set=set_file, points=points_file) for arg in line.split()]
+        argv = [arg.format(**paths) for arg in line.split()]
         outputs = []
         # different hash seeds so dict/set iteration cannot sneak into output
         for hash_seed in ("1", "31337"):

@@ -251,6 +251,13 @@ def test_exit_code_validation(capsys, set_file):
     assert exc.value.code == 2
 
 
+def test_table_rn_rejects_zero_trials_up_front(capsys):
+    # Every row of this table is exact, so no restart would ever run.
+    code, out, err = run_cli(capsys, ["table", "rn", "--eq", "1,1", "--N", "6", "--trials", "0"])
+    assert code == 2 and out == ""
+    assert err == "error: trial count must be >= 1\n"
+
+
 def test_exit_code_budget(capsys, set_file):
     path = set_file("a.txt", range(1, 9))
     for cmd in (
@@ -269,13 +276,13 @@ def test_count_solutions_budget_charged_before_convolving(capsys, set_file, monk
     import symfree.counting as counting_mod
 
     calls = []
-    real = counting_mod._convolve
+    real = counting_mod._rep_counts
 
-    def spy(counts, terms):
+    def spy(terms):
         calls.append(len(terms))
-        return real(counts, terms)
+        return real(terms)
 
-    monkeypatch.setattr(counting_mod, "_convolve", spy)
+    monkeypatch.setattr(counting_mod, "_rep_counts", spy)
     path = set_file("big.txt", range(1, 1501))
     argv = ["count", "solutions", "--eq", "1,1", "--set", path, "--budget", "1"]
     code, out, err = run_cli(capsys, argv)
@@ -287,13 +294,13 @@ def test_count_energy_budget_charged_before_convolving(capsys, set_file, monkeyp
     import symfree.counting as counting_mod
 
     calls = []
-    real = counting_mod._convolve
+    real = counting_mod._rep_counts
 
-    def spy(counts, terms):
+    def spy(terms):
         calls.append(len(terms))
-        return real(counts, terms)
+        return real(terms)
 
-    monkeypatch.setattr(counting_mod, "_convolve", spy)
+    monkeypatch.setattr(counting_mod, "_rep_counts", spy)
     path = set_file("big.txt", range(1, 1501))
     argv = ["count", "energy", "--eq", "1,1,1", "--set", path, "--budget", "1"]
     code, out, err = run_cli(capsys, argv)
@@ -308,10 +315,10 @@ def test_count_distinct_partition_sum_charged_before_convolving(
     # merged multiset's convolution over 1,500 values.
     import symfree.counting as counting_mod
 
-    def spy(counts, terms):
+    def spy(terms):
         raise AssertionError("convolved past the budget")
 
-    monkeypatch.setattr(counting_mod, "_convolve", spy)
+    monkeypatch.setattr(counting_mod, "_rep_counts", spy)
     path = set_file("big.txt", range(1, 1501))
     argv = ["count", "distinct", "--method", "inclusion_exclusion", "--eq", "1,1,1"]
     code, out, err = run_cli(capsys, argv + ["--set", path, "--budget", "1000"])
@@ -322,10 +329,10 @@ def test_count_distinct_partition_sum_charged_before_convolving(
 def test_memory_error_maps_to_exit_3(capsys, set_file, monkeypatch):
     import symfree.counting as counting_mod
 
-    def exhausted(counts, terms):
+    def exhausted(terms):
         raise MemoryError("Unable to allocate 8.00 GiB")
 
-    monkeypatch.setattr(counting_mod, "_convolve", exhausted)
+    monkeypatch.setattr(counting_mod, "_rep_counts", exhausted)
     path = set_file("a.txt", range(1, 9))
     for argv in (
         ["count", "energy", "--eq", "1,1", "--set", path],

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -24,7 +25,7 @@ from symfree.counting import (
     _DENSE_SPAN_CAP,
     _DENSE_WORK_FLOOR,
     WorkBudget,
-    _convolve,
+    _rep_counts,
     _search_witness,
 )
 
@@ -72,6 +73,21 @@ def test_rep_function_validation():
         rep_function([s], [0])
 
 
+def test_rep_function_and_energy_validate_sets_and_coefficients():
+    A = make_set([1, 199], 199)
+    for sets, coeffs in (
+        ([(1, 2, 3)], [1]),
+        ([A], [1.5]),
+        ([A, A], [1.5, 1.5]),
+        ([A], [True]),
+    ):
+        with pytest.raises(ValidationError):
+            rep_function(sets, coeffs)
+    for items in ([((1, 2), 1)], [A], [(A, 1, 1)]):
+        with pytest.raises(ValidationError):
+            energy(items, items)
+
+
 def test_rep_function_matches_brute_product():
     rng = random.Random(5)
     for _ in range(40):
@@ -92,28 +108,43 @@ def _fold(counts, terms):
     return out
 
 
-def _route(counts, terms):
-    """Which side of the work floor and of the density test a call is on."""
-    work = len(counts) * len(terms)
-    span = max(counts) + max(terms) - min(counts) - min(terms) + 1
-    if work < _DENSE_WORK_FLOOR:
+def _fold_all(terms):
+    counts = {0: 1}
+    for t in terms:
+        counts = _fold(counts, t)
+    return counts
+
+
+def _route(terms):
+    """Which side of the work floor and of the density test a system is on,
+    and, if dense, whether its last step adds Python ints."""
+    tuples = math.prod(map(len, terms))
+    span = sum(t[-1] - t[0] for t in terms) + 1
+    if tuples < _DENSE_WORK_FLOOR:
         return "small"
-    return "dense" if span <= _DENSE_SPAN_CAP and work * 8 >= span else "sparse"
+    if span > _DENSE_SPAN_CAP or span > 8 * tuples:
+        return "sparse"
+    return "dense object" if tuples // len(terms[-1]) >= 1 << 63 else "dense int64"
 
 
 def test_convolve_matches_dict_fold_on_every_route():
     rng = random.Random(8)
     seen = set()
     for _ in range(300):
-        reach = rng.choice([50, 400, 10**5])
-        counts = {
-            rng.randint(-reach, reach): rng.randint(1, 10 ** rng.randint(1, 17))
-            for _ in range(rng.randint(1, 120))
-        }
-        terms = rng.sample(range(-reach, reach + 1), rng.randint(1, min(90, 2 * reach)))
-        seen.add(_route(counts, terms))
-        assert _convolve(counts, terms) == _fold(counts, terms)
-    assert seen == {"small", "dense", "sparse"}
+        if rng.random() < 0.2:
+            # Many short terms near zero: tuple counts past 2^63.
+            reach, sizes = 3, [rng.randint(2, 7) for _ in range(rng.randint(25, 40))]
+        else:
+            reach = rng.choice([50, 400, 10**5])
+            sizes = [rng.randint(1, 90) for _ in range(rng.randint(1, 2))]
+            sizes += [rng.randint(1, 12)] * rng.randint(0, 1)
+        terms = [
+            sorted(rng.sample(range(-reach, reach + 1), min(n, 2 * reach + 1)))
+            for n in sizes
+        ]
+        seen.add(_route(terms))
+        assert _rep_counts(terms) == _fold_all(terms)
+    assert seen == {"small", "dense int64", "dense object", "sparse"}
 
 
 def test_rep_function_matches_brute_product_on_every_route():
@@ -144,16 +175,19 @@ def test_rep_function_exact_past_int64(copies):
     assert (max(r.counts.values()) >= 1 << 63) == (copies == 11)
 
 
-@pytest.mark.parametrize("total", [(1 << 63) - 1, 1 << 63])
+@pytest.mark.parametrize("total", [2 * 3**39, 1 << 63])
 def test_convolve_counts_summing_to_the_int64_edge(total):
-    # Every output entry but the two ends collects both counts, so equals
-    # the total: int64's largest value, and one past it.
-    counts = {0: total // 2, 1: total - total // 2}
-    terms = list(range(_DENSE_WORK_FLOOR))
-    assert _route(counts, terms) == "dense"
-    out = _convolve(counts, terms)
-    assert out == _fold(counts, terms)
-    assert out[1] == total
+    # The counts before the last step sum to `total`: near int64's largest
+    # value, 2^63 - 1, whose factors (up to 649,657) are too large for term
+    # lists, and 2^63.  The last term spans their whole support, so one
+    # entry collects all of them.
+    parts = [[0, 1, 2]] * 39 + [[0, 1]] if total < 1 << 63 else [[0, 1]] * 63
+    top = sum(t[-1] for t in parts)
+    terms = parts + [list(range(top + 1))]
+    assert _route(terms) == ("dense int64" if total < 1 << 63 else "dense object")
+    out = _rep_counts(terms)
+    assert out == _fold_all(terms)
+    assert out[top] == total
 
 
 def test_rep_support_within_norm_times_bound():

@@ -1,13 +1,22 @@
 """Randomized differential tests against the brute-force oracles: the
-half-sum join, the witness walk and the solution counts over signed and
-repeated coefficients, and the set sums over signed sets."""
+half-sum join, the witness walk, the exact R(N) rows, the one-value check
+and the solution counts over signed and repeated coefficients, and the set
+sums over signed sets."""
 
 import math
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import brute_counts, brute_difference, brute_edges, brute_rep, brute_sumset
+from oracles import (
+    brute_counts,
+    brute_difference,
+    brute_edges,
+    brute_max_free_sizes,
+    brute_rep,
+    brute_sumset,
+    has_distinct_solution,
+)
 from symfree import (
     Equation,
     count_all_solutions,
@@ -15,6 +24,7 @@ from symfree import (
     cs_energy_lower_check,
     difference,
     find_distinct_solution,
+    has_distinct_solution_using,
     is_solution_free,
     iterated_sumset,
     make_set,
@@ -22,7 +32,7 @@ from symfree import (
     sumset,
 )
 from symfree.counting import WorkBudget, _search_witness
-from symfree.search import build_hypergraph
+from symfree.search import build_hypergraph, exact_max_solution_free
 
 _HUGE = ((1 << 62) - 1, 1 << 62, (1 << 62) + 1, -(1 << 62))
 
@@ -84,6 +94,42 @@ def test_solution_counts_match_oracle(case):
     assert count_all_solutions(A, eq) == E
     assert count_distinct_solutions(A, eq, "enumerate") == distinct
     assert count_distinct_solutions(A, eq, "inclusion_exclusion") == distinct
+
+
+# The oracle's permutation scan costs (2k)! per 2k-subset, so k = 3 sweeps
+# stop at N = 8.
+equations_with_n = small_equations.flatmap(
+    lambda eq: st.tuples(st.just(eq), st.integers(1, 10 if eq.k == 2 else 8))
+)
+
+
+@given(equations_with_n)
+def test_exact_rows_match_power_set_sweep(case):
+    eq, N = case
+    full = eq.full_coefficients()
+    res = exact_max_solution_free(N, eq)
+    assert res.exact
+    assert [len(row) for row in res.rows] == brute_max_free_sizes(N, full)
+    edges = brute_edges(N, full)
+    for m, row in enumerate(res.rows, start=1):
+        assert set(row) <= set(range(1, m + 1))
+        assert not any(set(e) <= set(row) for e in edges)
+
+
+@given(small_equations, st.lists(st.integers(1, 12), min_size=3, max_size=12), st.integers(0, 99))
+def test_one_added_value_matches_oracle(eq, candidates, pick):
+    # A free set built greedily from the drawn values, so that adding one
+    # more often creates a solution, and a value from outside it.
+    full = eq.full_coefficients()
+    kept = []
+    for v in dict.fromkeys(candidates):
+        if len(kept) < (8 if eq.k == 2 else 6) and not has_distinct_solution(kept + [v], full):
+            kept.append(v)
+    outside = [v for v in range(1, 17) if v not in kept]
+    value = outside[pick % len(outside)]
+    A = make_set(kept, 16)
+    expected = has_distinct_solution(sorted(kept + [value]), full)
+    assert has_distinct_solution_using(A, eq, value) == expected
 
 
 def _mostly(near, far):

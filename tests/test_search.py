@@ -238,13 +238,13 @@ def test_energy_bounds_budget_charged_before_convolving(monkeypatch):
     import symfree.counting as counting_mod
 
     calls = []
-    real = counting_mod._convolve
+    real = counting_mod._rep_counts
 
-    def spy(counts, terms):
+    def spy(terms):
         calls.append(len(terms))
-        return real(counts, terms)
+        return real(terms)
 
-    monkeypatch.setattr(counting_mod, "_convolve", spy)
+    monkeypatch.setattr(counting_mod, "_rep_counts", spy)
     with pytest.raises(BudgetExceededError):
         check_energy_bounds(make_set(range(1, 1501), 1500), parse_equation("1,1,1"), budget=1)
     assert calls == []
