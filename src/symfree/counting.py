@@ -11,13 +11,19 @@ keyed by the multiset lets the counts of one report share each Z.
 
 A representation function is built one set at a time: each step adds the
 counts so far, shifted by each term c*x.  Its route is decided once, from
-the whole system.  When it has at least `_DENSE_WORK_FLOOR` tuples and the
-range of its sums is at most 8 times that count and `_DENSE_SPAN_CAP`,
-numpy does every step's adds on one array over the range so far: int64
-while the tuple count before the step stays below 2^63, which bounds every
-entry, and Python ints in an object array from then on.  The last array is
-read back into a dict once.  Smaller or sparser systems add into one dict,
-one (sum, term) pair at a time.
+the whole system.  Under `_DENSE_WORK_FLOOR` tuples the counts go into one
+dict, one (sum, term) pair at a time, which is cheapest for the thousands
+of tiny systems `check inequalities` builds.  Past it numpy does each step
+on arrays: shifted adds on one array over the range of the sums when that
+range is at most 8 times the tuple count and `_DENSE_SPAN_CAP`, and
+otherwise the outer sums of the distinct sums so far with the next term,
+sorted, with equal sums merged.  Counts are int64 while the tuple count
+before a step stays below 2^63, which bounds every entry, and sums while
+they fit; Python ints in object arrays past that.  The arrays go straight
+into the energy: the sum of the squared counts when both sides are one
+system, as the halves of (a, -a) always are, and otherwise a dot product
+over the sums the two sides share.  Only `rep_function` reads them back
+into a dict.
 
 One depth-first walker visits the distinct-valued solutions over any given
 set, a canonical member of each orbit of the slot symmetries.  Its first
@@ -53,7 +59,8 @@ DEFAULT_BUDGET = 10**9
 # The dense route of `_rep_counts` lays the counts out as one numpy array over
 # the range of the sums: int64 while the tuple count stays below 2^63, Python
 # ints in an object array past that.  Beyond this span the array (32 MB of
-# int64 at the cap) would dominate memory, so the system stays sparse.
+# int64 at the cap) would dominate memory, so the system takes the sorted
+# route, whose arrays hold only the sums it attains.
 _DENSE_SPAN_CAP = 1 << 22
 # Below this many tuples one dict add per (sum, term value) pair beats
 # numpy's fixed cost per call; `check inequalities` makes thousands of such
@@ -93,56 +100,120 @@ class RepFunction:
     total: int
 
     def __post_init__(self):
-        if any(v < 1 for v in self.counts.values()):
+        values = self.counts.values()
+        if values and min(values) < 1:
             raise ValidationError("representation counts must be positive")
-        if sum(self.counts.values()) != self.total:
+        if sum(values) != self.total:
             raise ValidationError("representation counts must sum to the total")
 
     def __getitem__(self, value: int) -> int:
         return self.counts.get(value, 0)
 
 
-def _rep_counts(terms: list[list[int]]) -> dict[int, int]:
+def _rep_counts(
+    terms: list[list[int]],
+) -> dict[int, int] | tuple[np.ndarray, np.ndarray]:
     """counts[m] = #{(t1, ..., tl) : ti in terms[i], t1 + ... + tl = m} for
-    nonempty ascending terms of pairwise different values.  As a term's
-    values differ, no entry exceeds the tuple count before its step, so the
-    dense route's array stays int64 while that count is below 2^63."""
-    tuples = math.prod(map(len, terms))
-    if tuples >= _DENSE_WORK_FLOOR and (
-        sum(t[-1] - t[0] for t in terms) < min(_DENSE_SPAN_CAP, 8 * tuples)
-    ):
-        lo, before = terms[0][0], len(terms[0])
-        arr = np.zeros(terms[0][-1] - lo + 1, dtype=np.int64)
-        arr[[v - lo for v in terms[0]]] = 1
-        for t in terms[1:]:
-            if before >= 1 << 63 and arr.dtype != object:
-                arr = arr.astype(object)
-            n, lo = len(arr), t[0]
-            new = np.zeros(n + t[-1] - lo, dtype=arr.dtype)
-            for v in t:
-                new[v - lo : v - lo + n] += arr
-            arr, before = new, before * len(t)
-        nz = np.flatnonzero(arr)
-        base = sum(t[0] for t in terms)
-        return {base + i: c for i, c in zip(nz.tolist(), arr[nz].tolist())}
-    counts = {0: 1}
-    for t in terms:
-        out: dict[int, int] = {}
-        get = out.get
-        for m, c in counts.items():
-            for v in t:
-                key = m + v
-                out[key] = get(key, 0) + c
-        counts = out
-    return counts
+    nonempty ascending terms of pairwise different values.
 
-
-def rep_function(sets: Sequence[IntegerSet], coeffs: Sequence[int]) -> RepFunction:
-    """Representation function of c1*A1 + ... + cl*Al.
-
-    counts[m] is the number of tuples (x1, ..., xl), xi in Ai, with
-    sum(ci * xi) == m; total is the product of the set sizes.
+    Under `_DENSE_WORK_FLOOR` tuples the counts come back as a dict, added
+    one (sum, term value) pair at a time.  Past it they come back as two
+    arrays, the attained sums ascending and their positive counts, from the
+    shifted-add array when the sums' range is at most `_DENSE_SPAN_CAP` and 8
+    times the tuple count, and from sorted outer sums otherwise.  Both work
+    on offsets from the least sum, a Python int added at the end, so the
+    sums are int64 when the least and the greatest sum fit and Python ints
+    otherwise.
     """
+    tuples = math.prod(map(len, terms))
+    if tuples < _DENSE_WORK_FLOOR:
+        counts = {0: 1}
+        for t in terms:
+            out: dict[int, int] = {}
+            get = out.get
+            for m, c in counts.items():
+                for v in t:
+                    key = m + v
+                    out[key] = get(key, 0) + c
+            counts = out
+        return counts
+    base = sum(t[0] for t in terms)
+    span = sum(t[-1] - t[0] for t in terms)
+    if span < min(_DENSE_SPAN_CAP, 8 * tuples):
+        offsets, counts = _dense_counts(terms)
+    else:
+        offsets, counts = _sorted_counts(terms)
+    if base < -(1 << 63) or base + span >= 1 << 63:
+        offsets = offsets.astype(object)
+    offsets += base
+    return offsets, counts
+
+
+def _dense_counts(terms: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The attained offsets from the least sum and their counts, by shifted
+    adds on one array over the range of the sums so far.  As a term's values
+    differ, no entry exceeds the tuple count before its step, so the array
+    stays int64 while that count is below 2^63."""
+    lo, before = terms[0][0], len(terms[0])
+    arr = np.zeros(terms[0][-1] - lo + 1, dtype=np.int64)
+    arr[[v - lo for v in terms[0]]] = 1
+    for t in terms[1:]:
+        if before >= 1 << 63 and arr.dtype != object:
+            arr = arr.astype(object)
+        n, lo = len(arr), t[0]
+        new = np.zeros(n + t[-1] - lo, dtype=arr.dtype)
+        for v in t:
+            new[v - lo : v - lo + n] += arr
+        arr, before = new, before * len(t)
+    nz = np.flatnonzero(arr)
+    return nz, arr[nz]
+
+
+def _sorted_counts(terms: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The attained offsets from the least sum and their counts, for sums
+    too sparse for one array.  Each step forms the outer sums of the
+    distinct offsets so far with the next term's, sorts them and merges
+    equal ones, adding their counts.  Offsets are int64 while their range
+    fits, and counts while the tuple count before the step is below 2^63,
+    as in `_dense_counts`; Python ints past that."""
+    lo, before = terms[0][0], len(terms[0])
+    reach = terms[0][-1] - lo
+    sums = np.array([v - lo for v in terms[0]], dtype=object if reach >= 1 << 63 else np.int64)
+    counts = np.ones(before, dtype=np.int64)
+    for t in terms[1:]:
+        lo = t[0]
+        reach += t[-1] - lo
+        if reach >= 1 << 63 and sums.dtype != object:
+            sums = sums.astype(object)
+        if before >= 1 << 63 and counts.dtype != object:
+            counts = counts.astype(object)
+        outer = (sums[:, None] + np.array([v - lo for v in t], dtype=sums.dtype)).ravel()
+        if len(sums) == before:  # every count so far is 1
+            outer.sort()
+            weights = None
+        else:
+            order = np.argsort(outer, kind="stable")
+            outer = outer[order]
+            order //= len(t)  # the row of each outer sum: whose count it carries
+            weights = counts[order]
+            del order
+        first = np.empty(len(outer), dtype=bool)  # first of its run of equal sums
+        first[0] = True
+        np.not_equal(outer[1:], outer[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        sums, size = outer[starts], len(outer)
+        del first, outer  # the step's peak is then its sorted sums and weights
+        if weights is None:
+            counts = np.diff(starts, append=size)
+        else:
+            counts = np.add.reduceat(weights, starts)
+        before *= len(t)
+    return sums, counts
+
+
+def _terms(sets: Sequence[IntegerSet], coeffs: Sequence[int]) -> tuple[list[list[int]], int]:
+    """The ascending scaled terms c*A of a system, checked, and its tuple
+    count."""
     if len(sets) == 0:
         raise ValidationError("at least one set is required")
     if len(sets) != len(coeffs):
@@ -155,7 +226,19 @@ def rep_function(sets: Sequence[IntegerSet], coeffs: Sequence[int]) -> RepFuncti
         if c == 0:
             raise ValidationError("coefficients must be nonzero")
     total = math.prod(len(s.elements) for s in sets)
-    counts = _rep_counts([scale(s.elements, c) for s, c in zip(sets, coeffs)]) if total else {}
+    return [scale(s.elements, c) for s, c in zip(sets, coeffs)], total
+
+
+def rep_function(sets: Sequence[IntegerSet], coeffs: Sequence[int]) -> RepFunction:
+    """Representation function of c1*A1 + ... + cl*Al.
+
+    counts[m] is the number of tuples (x1, ..., xl), xi in Ai, with
+    sum(ci * xi) == m; total is the product of the set sizes.
+    """
+    terms, total = _terms(sets, coeffs)
+    counts = _rep_counts(terms) if total else {}
+    if not isinstance(counts, dict):
+        counts = dict(zip(counts[0].tolist(), counts[1].tolist()))
     return RepFunction(counts=counts, total=total)
 
 
@@ -167,15 +250,57 @@ def _system(items: list) -> tuple[list, list]:
         raise ValidationError("energy takes (set, coefficient) pairs") from None
 
 
+def _arrays(counts) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending sums and the counts of a `_rep_counts` result."""
+    if not isinstance(counts, dict):
+        return counts
+    sums = sorted(counts)
+    wide = sums[0] < -(1 << 63) or sums[-1] >= 1 << 63
+    return (
+        np.array(sums, dtype=object if wide else np.int64),
+        np.array([counts[m] for m in sums], dtype=np.int64),
+    )
+
+
+def _dot(x: np.ndarray, y: np.ndarray, bound: int) -> int:
+    """x·y for counts whose dot product and every partial sum of it are at
+    most `bound`: in int64 while that is below 2^63, in Python ints past."""
+    if bound >= 1 << 63:
+        x, y = x.astype(object), y.astype(object)
+    return int(x @ y)
+
+
 def energy(lhs, rhs) -> int:
     """Number of joint tuples where the lhs system and rhs system take the
-    same value.  Each side is a sequence of (IntegerSet, coefficient) pairs."""
+    same value.  Each side is a sequence of (IntegerSet, coefficient) pairs.
+
+    With both sides one system, as the halves of (a, -a) always are, this
+    is the sum of the squared counts.  Otherwise each sum of the side with
+    fewer is looked up in the other's ascending sums, or in its dict when
+    both sides are small.  The dot product is at most one side's tuple
+    count times the other's, which picks int64 or Python ints for it.
+    """
     lhs = list(lhs)
     rhs = list(rhs)
-    r1 = rep_function(*_system(lhs))
-    r2 = r1 if lhs == rhs else rep_function(*_system(rhs))
-    small, big = (r1, r2) if len(r1.counts) <= len(r2.counts) else (r2, r1)
-    return sum(c * big.counts.get(m, 0) for m, c in small.counts.items())
+    t1, n1 = _terms(*_system(lhs))
+    t2, n2 = (t1, n1) if lhs == rhs else _terms(*_system(rhs))
+    if not n1 * n2:
+        return 0
+    r1 = _rep_counts(t1)
+    if t2 is t1:
+        if isinstance(r1, dict):
+            return sum(c * c for c in r1.values())
+        return _dot(r1[1], r1[1], n1 * n1)
+    r2 = _rep_counts(t2)
+    if isinstance(r1, dict) and isinstance(r2, dict):
+        small, big = (r1, r2) if len(r1) <= len(r2) else (r2, r1)
+        return sum(c * big.get(m, 0) for m, c in small.items())
+    (s1, c1), (s2, c2) = sorted((_arrays(r1), _arrays(r2)), key=lambda r: len(r[0]))
+    if s1.dtype != s2.dtype:
+        s1, s2 = s1.astype(object), s2.astype(object)
+    at = np.minimum(np.searchsorted(s2, s1), len(s2) - 1)
+    hit = s2[at] == s1
+    return _dot(c1[hit], c2[at[hit]], n1 * n2)
 
 
 def count_all_solutions(A: IntegerSet, eq: Equation, budget: int = DEFAULT_BUDGET) -> int:

@@ -116,35 +116,63 @@ def _fold_all(terms):
 
 
 def _route(terms):
-    """Which side of the work floor and of the density test a system is on,
-    and, if dense, whether its last step adds Python ints."""
+    """Which route `_rep_counts` takes on a system and, past the work floor,
+    whether its last step adds Python-int counts or else its sums leave
+    int64."""
     tuples = math.prod(map(len, terms))
-    span = sum(t[-1] - t[0] for t in terms) + 1
+    span = sum(t[-1] - t[0] for t in terms)
+    base = sum(t[0] for t in terms)
     if tuples < _DENSE_WORK_FLOOR:
         return "small"
-    if span > _DENSE_SPAN_CAP or span > 8 * tuples:
-        return "sparse"
-    return "dense object" if tuples // len(terms[-1]) >= 1 << 63 else "dense int64"
+    route = "dense" if span < min(_DENSE_SPAN_CAP, 8 * tuples) else "sorted"
+    if tuples // len(terms[-1]) >= 1 << 63:
+        return route + " object counts"
+    if base < -(1 << 63) or base + span >= 1 << 63:
+        return route + " object sums"
+    return route + " int64"
+
+
+def _as_dict(counts):
+    """A `_rep_counts` result as a dict; arrays must hold ascending sums and
+    positive counts."""
+    if isinstance(counts, dict):
+        return counts
+    sums, counts = counts[0].tolist(), counts[1].tolist()
+    assert sums == sorted(set(sums)) and min(counts) > 0
+    return dict(zip(sums, counts))
 
 
 def test_convolve_matches_dict_fold_on_every_route():
     rng = random.Random(8)
     seen = set()
     for _ in range(300):
+        stretch = 1
         if rng.random() < 0.2:
-            # Many short terms near zero: tuple counts past 2^63.
+            # Many short terms near zero: tuple counts past 2^63; stretched,
+            # too sparse for one array.
             reach, sizes = 3, [rng.randint(2, 7) for _ in range(rng.randint(25, 40))]
+            stretch = rng.choice([1, 10**6])
         else:
             reach = rng.choice([50, 400, 10**5])
             sizes = [rng.randint(1, 90) for _ in range(rng.randint(1, 2))]
             sizes += [rng.randint(1, 12)] * rng.randint(0, 1)
         terms = [
-            sorted(rng.sample(range(-reach, reach + 1), min(n, 2 * reach + 1)))
+            sorted(stretch * v for v in rng.sample(range(-reach, reach + 1), min(n, 2 * reach + 1)))
             for n in sizes
         ]
-        seen.add(_route(terms))
-        assert _rep_counts(terms) == _fold_all(terms)
-    assert seen == {"small", "dense int64", "dense object", "sparse"}
+        if rng.random() < 0.2:
+            # Shifted past 2^62: the offsets still fit int64, the sums not.
+            shift = rng.choice([1 << 62, -(1 << 62)])
+            terms = [[v + shift for v in t] for t in terms]
+        route = _route(terms)
+        seen.add(route)
+        out = _rep_counts(terms)
+        if route != "small":
+            assert (out[1].dtype == object) == route.endswith("object counts")
+            assert out[0].dtype == object or not route.endswith("object sums")
+        assert _as_dict(out) == _fold_all(terms)
+    kinds = ("int64", "object counts", "object sums")
+    assert seen == {"small", *(f"{r} {k}" for r in ("dense", "sorted") for k in kinds)}
 
 
 def test_rep_function_matches_brute_product_on_every_route():
@@ -184,8 +212,8 @@ def test_convolve_counts_summing_to_the_int64_edge(total):
     parts = [[0, 1, 2]] * 39 + [[0, 1]] if total < 1 << 63 else [[0, 1]] * 63
     top = sum(t[-1] for t in parts)
     terms = parts + [list(range(top + 1))]
-    assert _route(terms) == ("dense int64" if total < 1 << 63 else "dense object")
-    out = _rep_counts(terms)
+    assert _route(terms) == ("dense int64" if total < 1 << 63 else "dense object counts")
+    out = _as_dict(_rep_counts(terms))
     assert out == _fold_all(terms)
     assert out[top] == total
 
@@ -218,6 +246,47 @@ def test_energy_disjoint_supports():
 def test_energy_singletons():
     A = make_set([4], 4)
     assert energy([(A, 3)], [(A, 3)]) == 1
+
+
+def _fold_energy(lhs, rhs):
+    """Energy from the reference fold of each side's scaled terms."""
+    r1, r2 = ({0: 1}, {0: 1})
+    for s, c in lhs:
+        r1 = _fold(r1, [c * x for x in s.elements])
+    for s, c in rhs:
+        r2 = _fold(r2, [c * x for x in s.elements])
+    return sum(c * r2.get(m, 0) for m, c in r1.items())
+
+
+@pytest.mark.parametrize("top", [60, 10**6])
+def test_energy_of_different_sides_on_different_routes(top):
+    # Two copies of 40 values make 1,600 tuples, a numpy route: dense over
+    # [1, 60) and sorted over [1, 10^6).  One dilate of 30 of their pair sums is
+    # a dict; mixed with a copy of A it is a numpy route again.
+    rng = random.Random(top)
+    A = make_set(rng.sample(range(1, top), 40), top)
+    pair_sums = sorted({x + y for x in A.elements for y in A.elements})
+    B = make_set(rng.sample(pair_sums, 30), 2 * top)
+    two = [(A, 1), (A, 1)]
+    for other in ([(B, 1)], [(B, 1), (A, -1)], [(B, 3)], [(A, 2), (B, -1)]):
+        expected = _fold_energy(two, other)
+        assert energy(two, other) == expected
+        assert energy(other, two) == expected
+    assert _route([list(A.elements)] * 2) == ("dense int64" if top == 60 else "sorted int64")
+    assert _fold_energy(two, [(B, 1)]) > 0
+
+
+def test_energy_exact_once_the_squared_counts_pass_int64():
+    # Six copies of [1, 100]: 10^12 tuples, every count below 2^63, the sum
+    # of their squares above it.
+    A = make_set(range(1, 101), 100)
+    six = [(A, 1)] * 6
+    folded = _fold_all([list(A.elements)] * 6)
+    expected = sum(c * c for c in folded.values())
+    assert max(folded.values()) < 1 << 63 < expected
+    assert energy(six, six) == expected
+    signed = [(A, 1)] * 5 + [(A, -1)]
+    assert energy(six, signed) == _fold_energy(six, signed)
 
 
 def test_count_all_solutions_examples():
@@ -530,13 +599,13 @@ def test_solution_report_shares_the_partition_sums_convolutions(monkeypatch):
     import symfree.counting as counting_mod
 
     calls = []
-    real = counting_mod.rep_function
+    real = counting_mod._rep_counts
 
-    def spy(sets, coeffs):
-        calls.append(tuple(coeffs))
-        return real(sets, coeffs)
+    def spy(terms):
+        calls.append(len(terms))
+        return real(terms)
 
-    monkeypatch.setattr(counting_mod, "rep_function", spy)
+    monkeypatch.setattr(counting_mod, "_rep_counts", spy)
     A = make_set(random.Random(43).sample(range(1, 41), 8), 40)
     count_distinct_solutions(A, EQ122, method="inclusion_exclusion")
     alone = len(calls)

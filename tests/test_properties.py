@@ -4,7 +4,10 @@ and the solution counts over signed and repeated coefficients, and the set
 sums over signed sets."""
 
 import math
+import random
+import tracemalloc
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -23,6 +26,7 @@ from symfree import (
     count_distinct_solutions,
     cs_energy_lower_check,
     difference,
+    energy,
     find_distinct_solution,
     has_distinct_solution_using,
     is_solution_free,
@@ -31,7 +35,16 @@ from symfree import (
     sum_of_dilates,
     sumset,
 )
-from symfree.counting import WorkBudget, _search_witness
+from symfree import counting
+from symfree.counting import (
+    _DENSE_SPAN_CAP,
+    _DENSE_WORK_FLOOR,
+    WorkBudget,
+    _rep_cost,
+    _rep_counts,
+    _search_witness,
+)
+from symfree.model import scale
 from symfree.search import build_hypergraph, exact_max_solution_free
 
 _HUGE = ((1 << 62) - 1, 1 << 62, (1 << 62) + 1, -(1 << 62))
@@ -173,3 +186,80 @@ def test_cs_energy_lower_check_matches_product(pairs):
     assert res.sumset_size == len(rep)
     assert res.product_sq == product**2
     assert res.holds
+
+
+# Systems of two or three sets with at least `_DENSE_WORK_FLOOR` tuples, so
+# that `_rep_counts` takes a numpy route: the sum array over [1, 64], sorted
+# outer sums over [1, 10^6], and Python-int sums with a huge coefficient.
+@st.composite
+def large_systems(draw):
+    l = draw(st.integers(2, 3))
+    top = draw(st.sampled_from([64, 10**6]))
+    size = 32 if l == 2 else 11  # 32^2 and 11^3 both pass 1,024
+    values = st.sets(st.integers(1, top), min_size=size, max_size=size + 4)
+    return [(make_set(draw(values), top), draw(coefficient)) for _ in range(l)]
+
+
+def _brute_energy(lhs, rhs):
+    r1, r2 = (
+        brute_rep([s.elements for s, _ in side], [c for _, c in side]) for side in (lhs, rhs)
+    )
+    return sum(c * r2.get(m, 0) for m, c in r1.items())
+
+
+@given(large_systems(), large_systems())
+def test_energy_past_the_work_floor_matches_products(lhs, rhs):
+    assert math.prod(len(s.elements) for s, _ in lhs) >= _DENSE_WORK_FLOOR
+    assert energy(lhs, lhs) == _brute_energy(lhs, lhs)
+    assert energy(lhs, rhs) == _brute_energy(lhs, rhs)
+
+
+@st.composite
+def large_sets_with_equation(draw):
+    eq = draw(equations)
+    top = draw(st.sampled_from([64, 10**6]))
+    size = 32 if eq.k == 2 else 11  # each half then has over 1,024 tuples
+    return make_set(draw(st.sets(st.integers(1, top), min_size=size, max_size=size + 4)), top), eq
+
+
+@given(large_sets_with_equation())
+def test_energy_count_past_the_work_floor_matches_products(case):
+    # E is the number of pairs of k-tuples with equal sums a·x.
+    A, eq = case
+    half = [(A, c) for c in eq.a]
+    assert count_all_solutions(A, eq) == _brute_energy(half, half)
+
+
+# Peak bytes per `_rep_cost` unit of the sorted route, by the type of its
+# sums: 12-32 with int64 sums and 37-72 with Python ints on these inputs,
+# where the dict route holds 12-126.  Summed coincidences shrink both.
+_SORTED_BYTES_PER_UNIT = {"int64": 40, "object": 96}
+
+
+@pytest.mark.parametrize(
+    "size, coeffs",
+    [(300, (1, 2)), (60, (1, 1, 1)), (40, (1, -1, 3)), (300, (1, 1 << 62)), (40, (1, 1, 1 << 62))],
+)
+def test_sorted_route_bytes_per_budget_unit(size, coeffs, monkeypatch):
+    A = make_set(random.Random(31).sample(range(1, 10**7), size), 10**7)
+    terms = [scale(A.elements, c) for c in coeffs]
+    units = _rep_cost(A, coeffs)
+
+    def peak():
+        tracemalloc.start()
+        try:
+            out = _rep_counts(terms)
+            return tracemalloc.get_traced_memory()[1], out
+        finally:
+            tracemalloc.stop()
+
+    sorted_peak, (sums, _) = peak()
+    tuples = len(A.elements) ** len(coeffs)
+    assert sum(t[-1] - t[0] for t in terms) >= min(_DENSE_SPAN_CAP, 8 * tuples)
+    kind = "object" if sums.dtype == object else "int64"
+    assert sorted_peak <= _SORTED_BYTES_PER_UNIT[kind] * units
+    # The same system on the dict route, as if it were under the work floor.
+    monkeypatch.setattr(counting, "_DENSE_WORK_FLOOR", 1 << 62)
+    dict_peak, out = peak()
+    assert isinstance(out, dict)
+    assert sorted_peak <= dict_peak
