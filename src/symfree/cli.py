@@ -77,7 +77,7 @@ def _load_set(path: str, n_override: int | None):
 
 def _cmd_construct_ruzsa(args) -> int:
     params = RuzsaParams(d=args.d, k=args.k, N=args.N)
-    digit_set = ruzsa_digit_set(params)
+    digit_set = ruzsa_digit_set(params, budget=args.budget)
     header = {
         "d": params.d,
         "k": params.k,
@@ -280,6 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ruzsa.add_argument("--d", type=int, required=True, help="digit cap")
     p_ruzsa.add_argument("--k", type=int, required=True, help="equation arity")
     p_ruzsa.add_argument("--N", type=int, required=True, help="domain bound")
+    p_ruzsa.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_ruzsa.set_defaults(func=_cmd_construct_ruzsa)
 
     p_count = sub.add_parser("count", help="exact solution counts")

@@ -141,6 +141,16 @@ class IntegerSet:
             prev = v
         object.__setattr__(self, "elements", elems)
 
+    @classmethod
+    def _trusted(cls, elements: tuple[int, ...], domain_bound: int) -> IntegerSet:
+        """An IntegerSet built without `__post_init__`, for callers that have
+        already checked the invariant themselves: `elements` a tuple of
+        strictly increasing ints inside [1, domain_bound], an int >= 1."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "elements", elements)
+        object.__setattr__(s, "domain_bound", domain_bound)
+        return s
+
     def __len__(self) -> int:
         return len(self.elements)
 

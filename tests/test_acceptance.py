@@ -205,6 +205,9 @@ def test_criterion_5_energy_upper_bound_on_solution_free_sets():
 CLI_PINS = [
     ("construct ruzsa --d 2 --k 3 --N 1728", 0,
      "87570e537c5707b2cdc44394f6ff968489bc6f13128531ceda88769b82cf8e61"),
+    # 53 members, most past 2^63: the digit set's Python-int array.
+    ("construct ruzsa --d 3 --k 1000000 --N 1000000000000000000000", 0,
+     "9d452a504f066e1b59a208ac1d274b7201a0e4672535fadd726d56f4546817fa"),
     ("count energy --eq 1,1 --set {set}", 0,
      "ba29d83d0d52cd590342d9491ca8dc0f52c06034c1f060c53119267ecd5e881d"),
     ("count solutions --eq 1,2,2 --set {set}", 0,

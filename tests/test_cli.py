@@ -378,3 +378,23 @@ def test_repeated_runs_are_byte_identical():
         ]
         assert runs[0].stdout == runs[1].stdout
         assert runs[0].stdout
+
+
+def test_construct_ruzsa_budget_exits_3():
+    # 10^25 holds 2^28 - 1 members, charged before any is built.
+    argv = ["construct", "ruzsa", "--d", "2", "--k", "2", "--N", str(10**25)]
+    run = subprocess.run(
+        [sys.executable, "-m", "symfree", *argv], capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 3 and run.stdout == ""
+    assert run.stderr.startswith("error:") and run.stderr.count("\n") == 1
+
+
+def test_construct_ruzsa_budget_option(capsys):
+    # Seven members at seven units each.
+    argv = ["construct", "ruzsa", "--d", "2", "--k", "2", "--N", "100", "--budget"]
+    code, out, err = run_cli(capsys, argv + ["49"])
+    assert code == 0 and err == ""
+    assert out.splitlines()[1:] == ["1", "8", "9", "64", "65", "72", "73"]
+    code, out, err = run_cli(capsys, argv + ["48"])
+    assert code == 3 and out == "" and err.startswith("error:")

@@ -5,9 +5,11 @@ import tracemalloc
 
 import pytest
 
+import symfree.construct as construct_mod
 from oracles import brute_counts
 from symfree import (
     BudgetExceededError,
+    InvariantViolation,
     RuzsaParams,
     ValidationError,
     greedy_solution_free,
@@ -58,6 +60,21 @@ def test_ruzsa_params():
         RuzsaParams(2, 2, 0)
 
 
+@pytest.mark.parametrize("d, k", [(2.0, 2), (2, 2.0), (True, 2), (2, True), ("2", 2), (2, None)])
+def test_digit_params_reject_non_int_d_k(d, k):
+    for call in (RuzsaParams, ruzsa_equation, predicted_exponent):
+        args = (d, k, 100) if call is RuzsaParams else (d, k)
+        with pytest.raises(ValidationError):
+            call(*args)
+
+
+@pytest.mark.parametrize("N", [100.0, True, "100", None])
+def test_ruzsa_params_reject_non_int_N(N):
+    # A float N would otherwise fill a float64 array.
+    with pytest.raises(ValidationError):
+        RuzsaParams(2, 2, N)
+
+
 def test_digit_set_examples():
     assert tuple(ruzsa_digit_set(RuzsaParams(2, 3, 144))) == (1, 12, 13, 144)
     assert tuple(ruzsa_digit_set(RuzsaParams(2, 3, 11))) == (1,)
@@ -106,6 +123,101 @@ def test_digit_set_place_boundaries():
         for N in sorted(bounds):
             got = list(ruzsa_digit_set(RuzsaParams(d, k, N)))
             assert got == digit_strings(d, b, N), (d, k, N)
+
+
+def test_digit_set_int64_and_object_arrays_match_oracles():
+    # d = 3 and k = 10^6 make the base 9 * 10^6, so b^3 is past 2^63 and the
+    # sets past int64 stay a few dozen members.
+    b = 9 * 10**6
+    for N in (1, 2, 3, 1000):
+        assert list(ruzsa_digit_set(RuzsaParams(3, 10**6, N))) == digit_members(3, b, N)
+    for N in (b - 1, b + 2, b * b + 5, 3 * b * b, 2**63 - 1, 2**63, 2**63 + 1,
+              b**3 - 1, b**3, b**3 + 2, 3 * b**3 - 1, 3 * b**3, b**4):
+        got = ruzsa_digit_set(RuzsaParams(3, 10**6, N))
+        assert list(got) == digit_strings(3, b, N), N
+        assert all(type(v) is int for v in got)
+
+
+def _digit_count_oracle(d, base, N):
+    """The largest j whose base-d digits, reread in base `base`, stay <= N:
+    that reading is increasing in j, so bisect on it."""
+
+    def value(j):
+        out, place = 0, 1
+        while j:
+            j, t = divmod(j, d)
+            out += t * place
+            place *= base
+        return out
+
+    lo, hi = 0, 1
+    while value(hi) <= N:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if value(mid) <= N else (lo, mid)
+    return lo
+
+
+def test_digit_count_matches_oracles():
+    count = construct_mod._digit_count
+    for d, k in ALL_DK + ((4, 3),):
+        b = d * d * k
+        for N in range(1, 2 * b * b + 2):
+            assert count(RuzsaParams(d, k, N)) == len(digit_strings(d, b, N)), (d, k, N)
+    rng = random.Random(5)
+    for _ in range(200):
+        d, k = rng.randint(2, 5), rng.randint(2, 5)
+        N = rng.randint(1, 10 ** rng.randint(1, 40))
+        assert count(RuzsaParams(d, k, N)) == _digit_count_oracle(d, d * d * k, N), (d, k, N)
+    assert count(RuzsaParams(2, 2, 8**19)) == 524288
+    assert count(RuzsaParams(2, 2, 10**24)) == _digit_count_oracle(2, 8, 10**24) == 2**27 - 1
+    assert count(RuzsaParams(2, 2, 10**25)) == _digit_count_oracle(2, 8, 10**25) == 2**28 - 1
+
+
+def test_digit_set_length_differs_from_count(monkeypatch):
+    real = construct_mod._digit_count
+    for off in (-1, 1):
+        monkeypatch.setattr(construct_mod, "_digit_count", lambda p, off=off: real(p) + off)
+        with pytest.raises(InvariantViolation):
+            ruzsa_digit_set(RuzsaParams(2, 3, 1728))
+
+
+# Bytes of peak memory per budget unit that every digit-set build stays under.
+BYTES_PER_UNIT = 8
+
+
+@pytest.mark.parametrize(
+    "d, k, N", [(2, 3, 12**12), (2, 4, 2**64 + 12345), (2, 2**40, 2**504)]
+)
+def test_digit_set_peak_bytes_per_unit(d, k, N):
+    # 4,096 members in int64, 65,551 just past 2^63 and 4,096 of up to 504
+    # bits, whose ints take 92 bytes each.
+    p = RuzsaParams(d, k, N)
+    size = construct_mod._digit_count(p)
+    charge = construct_mod._member_units(N) * size
+    with pytest.raises(BudgetExceededError):
+        ruzsa_digit_set(p, budget=charge - 1)
+    tracemalloc.start()
+    try:
+        got = ruzsa_digit_set(p, budget=charge)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(got) == size
+    assert peak / charge < BYTES_PER_UNIT
+
+
+def test_digit_set_budget_checked_before_allocating():
+    # 2^28 - 1 members are charged before any is built.
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            ruzsa_digit_set(RuzsaParams(2, 2, 10**25))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_digit_set_elements_are_carry_free():
