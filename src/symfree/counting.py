@@ -4,7 +4,8 @@ Everything here is integer-exact.  Every solution count over a set A is built
 from Z(C) = #{x in A^|C| : C·x = 0} for multisets C of coefficients: the
 energy E is Z of the full coefficients (a, -a), a coincidence count is Z once
 two slots merge into one carrying their sum, and the distinct-valued count is
-a signed sum of Z over the set partitions of the 2k slots.  Z is the energy
+a signed sum of Z over the set partitions of the 2k slots, built slot by slot
+with the partitions that merge alike summed into one weight.  Z is the energy
 of one half of C against the other half negated, from the representation
 function of each half (how many tuples reach each weighted sum), and a memo
 keyed by the multiset lets the counts of one report share each Z.
@@ -70,6 +71,10 @@ _DENSE_WORK_FLOOR = 1 << 10
 # puts it at about 130 bytes per half-tuple against 50 in int64, so both
 # branches hold about 8 bytes per unit.
 _OBJECT_SUM_UNITS = 10
+# Units per transition of the partition sum's layers: tracemalloc puts the
+# sum's peak at up to 196 bytes per transition charged, on coefficients
+# such as 1,10,100,... whose partial partitions never merge.
+_LAYER_UNITS = 25
 
 
 class WorkBudget:
@@ -362,61 +367,41 @@ def _rep_cost(A: IntegerSet, coeffs: Sequence[int]) -> int:
     return cost
 
 
-def _set_partitions(n: int) -> Iterator[tuple[int, ...]]:
-    """Every partition of range(n) as a restricted growth string, in
-    lexicographic order, built one at a time."""
-    if n == 0:
-        yield ()
-        return
-    a = [0] * n
-    top = [0] * n  # top[i] = max(a[: i + 1])
-    while True:
-        yield tuple(a)
-        i = n - 1
-        while i > 0 and a[i] > top[i - 1]:
-            i -= 1
-        if i == 0:
-            return
-        a[i] += 1
-        top[i] = max(top[i - 1], a[i])
-        for j in range(i + 1, n):
-            a[j] = 0
-            top[j] = top[i]
-
-
-def _bell(n: int) -> int:
-    """Number of set partitions of an n-element set, by the Bell triangle."""
-    row = [1]
-    for _ in range(n):
-        nxt = [row[-1]]
-        for x in row:
-            nxt.append(nxt[-1] + x)
-        row = nxt
-    return row[0]
-
-
 def _count_distinct_partitions(
     A: IntegerSet, eq: Equation, budget: WorkBudget, memo: dict
 ) -> int:
+    """The distinct-valued count as the sum over the set partitions of the
+    2k slots of Z of the merged coefficients, each partition weighted by
+    the product over its blocks B of (-1)^(|B|-1) (|B|-1)!.
+
+    The partitions are built slot by slot.  A partial partition is kept as
+    the ascending tuple of its blocks' (coefficient sum, size) pairs, mapped
+    to the summed weight of the partitions that reach it.  A slot c opens
+    the block (c, 1) at the same weight, or joins one block (s, n), which
+    becomes (s + c, n + 1) at -n times the weight; equal blocks are joined
+    one at a time, as each join is a different partition.  Each layer's
+    transitions are charged `_LAYER_UNITS` units each before it is built.
+    """
     coeffs = eq.full_coefficients()
-    n = len(coeffs)
-    if len(A.elements) < n:
+    if len(A.elements) < len(coeffs):
         return 0
-    # One unit per set partition, charged before any partition is listed.
-    budget.spend(_bell(n))
-    total = 0
-    for rgs in _set_partitions(n):
-        blocks = max(rgs) + 1
-        merged = [0] * blocks
-        sizes = [0] * blocks
-        for pos, b in enumerate(rgs):
-            merged[b] += coeffs[pos]
-            sizes[b] += 1
-        weight = 1
-        for s in sizes:
-            weight *= (-1) ** (s - 1) * math.factorial(s - 1)
-        total += weight * _zero_count(A, merged, budget, memo)
-    return total
+    layer: dict[tuple[tuple[int, int], ...], int] = {(): 1}
+    for c in coeffs:
+        budget.spend(_LAYER_UNITS * sum(len(blocks) + 1 for blocks in layer))
+        nxt: dict[tuple[tuple[int, int], ...], int] = {}
+        get = nxt.get
+        for blocks, w in layer.items():
+            key = tuple(sorted(blocks + ((c, 1),)))
+            nxt[key] = get(key, 0) + w
+            for i, (s, n) in enumerate(blocks):
+                key = tuple(sorted(blocks[:i] + ((s + c, n + 1),) + blocks[i + 1 :]))
+                nxt[key] = get(key, 0) - n * w
+        layer = nxt
+    return sum(
+        w * _zero_count(A, [s for s, _ in blocks], budget, memo)
+        for blocks, w in layer.items()
+        if w
+    )
 
 
 def count_distinct_solutions(
@@ -430,9 +415,11 @@ def count_distinct_solutions(
 
     method "enumerate" walks the canonical solutions, one per orbit of the
     slot symmetries, and multiplies their number by the orbit size; method
-    "inclusion_exclusion" sums merged-variable counts over all set partitions
-    of the 2k slots with signed factorial weights.  Both are exact and run
-    under a step budget.
+    "inclusion_exclusion" sums merged-variable counts over the set
+    partitions of the 2k slots with signed factorial weights, the partitions
+    built one slot at a time and those with equal (block sum, block size)
+    pairs summed into one weight.  Both are exact and run under a step
+    budget.
     """
     if method == "enumerate":
         walk = _search_witness(A.elements, eq, WorkBudget(budget))
@@ -590,7 +577,8 @@ def _half_sum_pairs(
     past that.  k + 3 units per half-tuple, one per array it is held in
     (k index columns, sums, sort order, sorted sums), plus
     `_OBJECT_SUM_UNITS` for Python int sums, are charged before anything is
-    listed, and each pass's comparisons before they are made.
+    listed; 2k + 2 units per entry in a run before the first pass gathers;
+    and each pass's comparisons before they are made.
     """
     n = len(elements)
     slots = sorted(a)  # slots sharing a coefficient become adjacent
@@ -619,6 +607,7 @@ def _half_sum_pairs(
         for col in cols:
             keep &= col != new
         cols = [col[keep] for col in cols + [new.astype(np.int32)]]
+    del lo, reps, row, new, keep  # 17 bytes a half-tuple, else kept to the end
     sums = np.zeros(len(cols[0]), dtype=vals.dtype)
     for c, col in zip(slots, cols):
         sums += c * vals[col]
@@ -626,6 +615,11 @@ def _half_sum_pairs(
     sums = sums[order]
     budget.spend(len(sums) - 1)
     live = np.flatnonzero(sums[:-1] == sums[1:])
+    # A pass gathers two indices per entry in a run and, per disjoint pair,
+    # a row stacked from 2k gathered columns.  Later passes gather subsets
+    # of the first one's entries, and each pass frees its arrays, so the
+    # first one's charge covers them all.
+    budget.spend((2 * len(slots) + 2) * live.size)
     d = 1
     while live.size:
         first, second = order[live], order[live + d]
@@ -637,6 +631,7 @@ def _half_sum_pairs(
         if disjoint.any():
             first, second = first[disjoint], second[disjoint]
             yield np.stack([x[first] for x in cols] + [y[second] for y in cols], axis=1)
+        del first, second, disjoint, xs
         d += 1
         live = live[live < len(sums) - d]
         budget.spend(live.size)

@@ -60,7 +60,8 @@ def build_hypergraph(
 
     The join's charge counts against `budget`: k + 3 units per half-tuple,
     more when its sums pass int64, before [1, N] or any array is built, then
-    the entries each pass compares.  Exceeding it raises, and no partial
+    2k + 2 units per entry in a run before the first pass gathers, then the
+    entries each pass compares.  Exceeding it raises, and no partial
     hypergraph is returned.
     """
     if N < 1:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .counting import energy
-from .model import IntegerSet, ValidationError, bit_positions, make_set, scale
+from .model import IntegerSet, ValidationError, bit_positions, scale
 
 _MASK_SPAN_LIMIT = 1 << 20
 
@@ -185,11 +185,8 @@ def cs_energy_lower_check(sets: Sequence[tuple[IntegerSet, int]]) -> EnergyLower
     if not sets:
         raise ValidationError("at least one (set, coefficient) pair is required")
     DilateSpec(tuple(c for _, c in sets))  # validates the coefficients
-    for s, _ in sets:
-        if not isinstance(s, IntegerSet):
-            raise ValidationError(f"expected an IntegerSet, got {type(s).__name__}")
+    E = energy(sets, sets)  # validates the sets
     size = len(_weighted_sums([(s.elements, c) for s, c in sets]))
-    E = energy(sets, sets)
     product_sq = math.prod(len(s.elements) for s, _ in sets) ** 2
     return EnergyLowerResult(
         E=E, sumset_size=size, product_sq=product_sq, holds=E * size >= product_sq
@@ -202,7 +199,7 @@ def sample_integer_set(rng: random.Random, span: int, density: float) -> Integer
     values = [v for v in range(1, span + 1) if rng.random() < density]
     if not values:
         values = [rng.randint(1, span)]
-    return make_set(values, span)
+    return IntegerSet._trusted(tuple(values), span)
 
 
 def _one_trial(rng: random.Random, name: str) -> tuple[bool, dict]:

@@ -242,6 +242,11 @@ CLI_PINS = [
      "8fc3112dbe42b8b84e59b4bc0dc0d152cab7c51f239235e36e6cd12400be3a3d"),
     ("check bounds --eq 1,2 --set {wide}", 0,
      "a6b891561ea46135f1a4d7c1a21d50d3e3e05023fa3e7f2f806160e77183f48f"),
+    # Nonzero distinct counts for k = 4 and 5 from the partition sum.
+    ("count distinct --eq 1,1,1,1,1 --set {dense} --method inclusion_exclusion", 0,
+     "9ee2346d92007b0f5259fa92919281d2547fa79c78e6acfa9438e8989710973f"),
+    ("count solutions --eq 1,-2,3,3 --set {dense}", 0,
+     "f3ea2f229654cac2e5789a0caa4fc36975cec9e93e8d8b798785fb9ec043d014"),
 ]
 
 

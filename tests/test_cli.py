@@ -311,8 +311,9 @@ def test_count_energy_budget_charged_before_convolving(capsys, set_file, monkeyp
 def test_count_distinct_partition_sum_charged_before_convolving(
     capsys, set_file, monkeypatch
 ):
-    # 1,000 units cover the Bell(6) = 203 partitions but not the first
-    # merged multiset's convolution over 1,500 values.
+    # The sum's layers are charged 2,575 units, more than the 1,000 given,
+    # so it exits before its first merged multiset's convolution over 1,500
+    # values; test_counting covers a budget that admits the layers.
     import symfree.counting as counting_mod
 
     def spy(terms):

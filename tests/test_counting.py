@@ -25,6 +25,7 @@ from symfree.counting import (
     _DENSE_SPAN_CAP,
     _DENSE_WORK_FLOOR,
     WorkBudget,
+    _half_sums_collide,
     _rep_counts,
     _search_witness,
 )
@@ -371,6 +372,18 @@ def test_k4_counts_match_oracle():
                 assert count_distinct_solutions(A, eq, method=method) == distinct
 
 
+@pytest.mark.parametrize(
+    "text", ["1,1,1,1", "1,2,3,4", "1,-2,3,3", "1,1,2,2", "1,1,1,1,1", "1,2,2,2,2"]
+)
+def test_inclusion_exclusion_matches_enumeration_past_k3(text):
+    # 6 + k of [1, 16] leave every equation a nonzero distinct count.
+    eq = parse_equation(text)
+    A = make_set(random.Random(text).sample(range(1, 17), 6 + eq.k), 16)
+    expected = count_distinct_solutions(A, eq, method="enumerate")
+    assert expected > 0
+    assert count_distinct_solutions(A, eq, method="inclusion_exclusion") == expected
+
+
 def _canonical_solutions(elements, eq):
     """Distinct-valued solutions by permutation scan, kept when increasing
     across slots sharing a coefficient and, if the first and the (k+1)-th
@@ -498,12 +511,12 @@ def test_enumerate_budget_is_an_error_not_an_estimate():
 
 def test_budget_checked_before_large_allocations():
     # The witness walk charges its |A|(|A|-1)-entry pair index, the half-sum
-    # join its half-tuples, and the partition sum its Bell(2k) partitions,
-    # before building any of them.
+    # join its half-tuples, and the partition sum each layer of partial
+    # partitions, before building any of them.
     A = make_set(range(1, 601), 600)  # a 359,400-entry pair index
     B = make_set(range(1, 11), 10)
     C = make_set(range(1, 201), 200)  # 3,940,200 half-tuples under 1,2,2
-    eq5 = parse_equation("1,1,1,1,1")  # Bell(10) = 115,975 partitions
+    eq5 = parse_equation("1,1,1,1,1")  # 1,848 layer transitions
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError):
@@ -523,8 +536,8 @@ def test_budget_checked_before_large_allocations():
 
 
 def test_partition_sum_holds_no_memory_afterwards():
-    # Partitions are listed lazily, so none outlive the count that used them.
-    eq5 = parse_equation("1,1,1,1,1")  # Bell(10) = 115,975 partitions
+    # No layer of partial partitions outlives the count that built it.
+    eq5 = parse_equation("1,1,1,1,1")  # 1,848 layer transitions
     A = make_set(range(1, 11), 10)
     tracemalloc.start()
     try:
@@ -533,6 +546,84 @@ def test_partition_sum_holds_no_memory_afterwards():
     finally:
         tracemalloc.stop()
     assert held < 1024 * 1024
+
+
+def test_partition_sum_charges_layers_not_partitions(monkeypatch):
+    # 1,1,1,1,1 on [1, 10] charges 46,200 units to its layers and 40,530
+    # to its convolutions, together less than its Bell(10) = 115,975
+    # partitions.  A budget that covers the layers and not the first
+    # convolution exits before convolving.
+    import symfree.counting as counting_mod
+
+    eq5 = parse_equation("1,1,1,1,1")
+    B = make_set(range(1, 11), 10)
+    assert count_distinct_solutions(B, eq5, method="inclusion_exclusion", budget=115_975) == (
+        count_distinct_solutions(B, eq5, method="enumerate")
+    )
+
+    def spy(terms):
+        raise AssertionError("convolved past the budget")
+
+    monkeypatch.setattr(counting_mod, "_rep_counts", spy)
+    with pytest.raises(BudgetExceededError):
+        count_distinct_solutions(B, eq5, method="inclusion_exclusion", budget=46_200)
+
+
+def test_partition_sum_stops_before_its_first_unaffordable_layer():
+    # All-distinct k = 6 would build layers of up to Bell(12) = 4,213,597
+    # partial partitions; 1,000 units stop it within the first few slots.
+    A = make_set(range(1, 13), 12)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            count_distinct_solutions(
+                A, parse_equation("1,2,3,4,5,6"), method="inclusion_exclusion", budget=1000
+            )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def _sidon(p):
+    """Erdos-Turan: 2pk + (k^2 mod p) for k < p is a Sidon set, so it is
+    free for 1,1 and its join runs every pass."""
+    return sorted(2 * p * k + k * k % p + 1 for k in range(p))
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "layers 1,2,3,4,5",
+        "join interval int64",
+        "join interval object",
+        "join sparse int64",
+        "join sparse object",
+    ],
+)
+def test_peak_bytes_per_unit(monkeypatch, case):
+    # A unit stands for about one 8-byte word of what the charged step
+    # holds at its peak.  The layer sum runs without its convolutions.
+    import symfree.counting as counting_mod
+
+    monkeypatch.setattr(counting_mod, "_zero_count", lambda A, coeffs, budget, memo: 0)
+    shift = 1 << 70 if case.endswith("object") else 0
+    if "interval" in case:
+        elements = tuple(v + shift for v in range(1, 201 if shift else 401))
+    else:
+        elements = tuple(v + shift for v in _sidon(211 if shift else 499))
+    wb = WorkBudget()
+    tracemalloc.start()
+    try:
+        if case.startswith("layers"):
+            A = make_set(range(1, 11), 10)
+            counting_mod._count_distinct_partitions(A, parse_equation("1,2,3,4,5"), wb, {})
+        else:
+            _half_sums_collide(elements, (1, 1), wb)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * wb.used, (peak, wb.used)
 
 
 def test_is_solution_free_examples():

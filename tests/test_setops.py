@@ -146,6 +146,16 @@ def test_sample_integer_set_never_empty():
         assert s.domain_bound == 20
 
 
+def test_sample_integer_set_meets_the_set_invariant():
+    # Samples skip IntegerSet's check; each must equal the checked set.
+    rng = random.Random(9)
+    for _ in range(500):
+        span = rng.choice((1, 2, 20, 50))
+        s = sample_integer_set(rng, span, rng.choice((0.0, 0.1, 0.6, 1.0)))
+        assert type(s.elements) is tuple
+        assert s == make_set(s.elements, span)
+
+
 def test_trial_driver_shape_and_determinism():
     a = run_inequality_trials(25, seed=42)
     b = run_inequality_trials(25, seed=42)
