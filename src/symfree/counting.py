@@ -275,27 +275,41 @@ def _dot(x: np.ndarray, y: np.ndarray, bound: int) -> int:
     return int(x @ y)
 
 
+def _self_energy(system: list) -> tuple[int, int]:
+    """The energy of a system of (IntegerSet, coefficient) pairs against
+    itself, the sum of its squared counts, and the number of sums it
+    attains, both from one `_rep_counts` pass."""
+    terms, total = _terms(*_system(system))
+    if not total:
+        return 0, 0
+    counts = _rep_counts(terms)
+    if isinstance(counts, dict):
+        return sum(c * c for c in counts.values()), len(counts)
+    return _dot(counts[1], counts[1], total * total), len(counts[0])
+
+
 def energy(lhs, rhs) -> int:
     """Number of joint tuples where the lhs system and rhs system take the
     same value.  Each side is a sequence of (IntegerSet, coefficient) pairs.
 
     With both sides one system, as the halves of (a, -a) always are, this
-    is the sum of the squared counts.  Otherwise each sum of the side with
+    is the sum of the squared counts.  `_self_energy` returns it with the
+    number of sums attained, from the same representation function, so the
+    Cauchy-Schwarz check of `setops` reads E and the sumset size from one
+    pass.  Otherwise each sum of the side with
     fewer is looked up in the other's ascending sums, or in its dict when
     both sides are small.  The dot product is at most one side's tuple
     count times the other's, which picks int64 or Python ints for it.
     """
     lhs = list(lhs)
     rhs = list(rhs)
+    if lhs == rhs:
+        return _self_energy(lhs)[0]
     t1, n1 = _terms(*_system(lhs))
-    t2, n2 = (t1, n1) if lhs == rhs else _terms(*_system(rhs))
+    t2, n2 = _terms(*_system(rhs))
     if not n1 * n2:
         return 0
     r1 = _rep_counts(t1)
-    if t2 is t1:
-        if isinstance(r1, dict):
-            return sum(c * c for c in r1.values())
-        return _dot(r1[1], r1[1], n1 * n1)
     r2 = _rep_counts(t2)
     if isinstance(r1, dict) and isinstance(r2, dict):
         small, big = (r1, r2) if len(r1) <= len(r2) else (r2, r1)
@@ -559,6 +573,16 @@ def _search_witness(
         del rec  # break the closure's self-reference cycle
 
 
+def _half_tuple_units(n: int, slots: list[int], wide: bool) -> int:
+    """What `_half_sum_pairs` charges for listing the half-tuples of n
+    values in the ascending `slots`, before it lists any: k + 3 units a
+    half-tuple, and `_OBJECT_SUM_UNITS` more when the sums are Python ints."""
+    count = math.perm(n, len(slots))  # half-tuples: ties fix their order
+    for c in set(slots):
+        count //= math.factorial(slots.count(c))
+    return (len(slots) + 3 + (_OBJECT_SUM_UNITS if wide else 0)) * count
+
+
 def _half_sum_pairs(
     elements: Sequence[int], a: Sequence[int], budget: WorkBudget
 ) -> Iterator[np.ndarray]:
@@ -585,10 +609,7 @@ def _half_sum_pairs(
     if n < 2 * len(slots):
         return
     wide = len(slots) * max(map(abs, slots)) * elements[-1] >= 1 << 63
-    count = math.perm(n, len(slots))  # half-tuples: ties fix their order
-    for c in set(slots):
-        count //= math.factorial(slots.count(c))
-    budget.spend((len(slots) + 3 + (_OBJECT_SUM_UNITS if wide else 0)) * count)
+    budget.spend(_half_tuple_units(n, slots, wide))
     vals = np.array(elements, dtype=object if wide else np.int64)
     cols: list[np.ndarray] = []
     for j, c in enumerate(slots):

@@ -22,6 +22,7 @@ from .counting import (
     DEFAULT_BUDGET,
     WorkBudget,
     _half_sum_pairs,
+    _half_tuple_units,
     count_all_solutions,
     has_distinct_solution_using,
     is_solution_free,
@@ -66,6 +67,13 @@ def build_hypergraph(
     """
     if N < 1:
         raise ValidationError("domain bound N must be >= 1")
+    if N >= 1 << 63:
+        # [1, N] has no length in C, so the join cannot take it.  Charge
+        # its half-tuples from N itself: over 2^128 units, past any
+        # budget a run can spend, this exits as the join would.  A budget
+        # that covers them still could not list them, so N is refused.
+        WorkBudget(budget).spend(_half_tuple_units(N, sorted(eq.a), True))
+        raise ValidationError("domain bound N must be below 2^63")
     # Rows keep the narrowest dtype that holds N, so that all pairs, listed
     # before duplicates go, take less room than the edge tuples.
     passes = [

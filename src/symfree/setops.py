@@ -4,10 +4,14 @@ inequalities that relate their sizes and energies.
 Set arithmetic here works on arbitrary finite integer sets (zero and negative
 members included), represented as strictly increasing tuples.  IntegerSet
 inputs are accepted anywhere and are read through their elements.  Every sum
-is one fold, `_weighted_sums`, over (set, coefficient) terms: when the spans
-of the scaled terms add up to a small total, it keeps one bit mask packed
-into a Python int across all the terms and decodes it once; otherwise it
-accumulates a hash set.
+is one fold, `_fold`, over (set, coefficient) terms, each distinct term
+scaled once: when the spans of the scaled terms add up to a small total, it
+keeps one bit mask packed into a Python int across all the terms; otherwise
+it accumulates a hash set.  The functions that return sums decode the result
+once.  The checkers only count: they read the mask's set bits, or the set's
+size, and sum-of-dilates inclusion compares two masks with the same least
+sum.  The Cauchy-Schwarz check reads E and the sumset size from one
+representation function in `counting`.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .counting import energy
+from .counting import _self_energy
 from .model import IntegerSet, ValidationError, bit_positions, scale
 
 _MASK_SPAN_LIMIT = 1 << 20
@@ -47,31 +51,55 @@ def _require_nonempty(*sets: tuple[int, ...]) -> None:
             raise ValidationError("set operations need nonempty sets")
 
 
-def _weighted_sums(terms: Sequence[tuple[tuple[int, ...], int]]) -> tuple[int, ...]:
-    """Every value c1*x1 + ... + cl*xl, ascending, for (elements, c) terms
-    with nonempty ascending elements and nonzero c, xi taken from the i-th
-    term's elements.
+def _fold(terms: Sequence[tuple[tuple[int, ...], int]]) -> tuple[int, int] | set[int]:
+    """Every value c1*x1 + ... + cl*xl for (elements, c) terms with nonempty
+    ascending elements and nonzero c, xi taken from the i-th term's
+    elements, undecoded: a mask and its base, bit j set for the sum base + j,
+    or a set of the sums.
 
-    Each term is scaled once.  When the spans max - min of the scaled terms
-    add up to less than `_MASK_SPAN_LIMIT`, one mask holds the sums so far,
-    bit j for the least sum plus j; a term ORs together the mask shifted by
-    each c*x - min(c*A), and the mask is decoded once at the end.
+    Each distinct term is scaled once.  When the spans max - min of the
+    scaled terms add up to less than `_MASK_SPAN_LIMIT`, one mask holds the
+    sums so far, and a term ORs together the mask shifted by each
+    c*x - min(c*A); otherwise a hash set accumulates them.
     """
     _require_nonempty(*(elems for elems, _ in terms))
-    scaled = [scale(elems, c) for elems, c in terms]
-    if sum(t[-1] - t[0] for t in scaled) < _MASK_SPAN_LIMIT:
+    # Repeated terms, as in kB, hold the same tuple, so its identity keys
+    # them; every tuple stays alive in `terms` while the fold runs.
+    scaled: dict[tuple[int, int], list[int]] = {}
+    steps = []
+    for elems, c in terms:
+        key = (id(elems), c)
+        if key not in scaled:
+            scaled[key] = scale(elems, c)
+        steps.append(scaled[key])
+    if sum(t[-1] - t[0] for t in steps) < _MASK_SPAN_LIMIT:
         mask = 1
-        for t in scaled:
+        for t in steps:
             lo = t[0]
             acc = 0
             for v in t:
                 acc |= mask << (v - lo)
             mask = acc
-        return bit_positions(mask, sum(t[0] for t in scaled))
+        return mask, sum(t[0] for t in steps)
     sums = {0}
-    for t in scaled:
+    for t in steps:
         sums = {s + v for s in sums for v in t}
-    return tuple(sorted(sums))
+    return sums
+
+
+def _weighted_sums(terms: Sequence[tuple[tuple[int, ...], int]]) -> tuple[int, ...]:
+    """The values of `_fold(terms)`, ascending."""
+    sums = _fold(terms)
+    if isinstance(sums, set):
+        return tuple(sorted(sums))
+    return bit_positions(*sums)
+
+
+def _count_sums(terms: Sequence[tuple[tuple[int, ...], int]]) -> int:
+    """The number of values of `_fold(terms)`, read off its mask or set
+    without decoding it."""
+    sums = _fold(terms)
+    return len(sums) if isinstance(sums, set) else sums[0].bit_count()
 
 
 def sumset(A, B) -> tuple[int, ...]:
@@ -127,6 +155,17 @@ def sum_of_dilates(spec, A) -> tuple[int, ...]:
     return _weighted_sums([(a, c) for c in spec.s])
 
 
+def _dilates_inside(spec: DilateSpec, a: tuple[int, ...]) -> bool:
+    """Whether s1*A + ... + sl*A lies inside norm1*A.  Both least sums are
+    norm1 * min A and both spans norm1 * (max A - min A), so the two folds
+    take one route and their masks share one base."""
+    dilates = _fold([(a, c) for c in spec.s])
+    iterated = _fold([(a, 1)] * spec.norm1)
+    if isinstance(dilates, set):
+        return dilates <= iterated
+    return dilates[0] & ~iterated[0] == 0
+
+
 @dataclass(frozen=True)
 class TriangleResult:
     """|A-C| * |B| versus |A-B| * |B-C|, exact integers."""
@@ -138,8 +177,11 @@ class TriangleResult:
 
 def ruzsa_triangle_check(A, B, C) -> TriangleResult:
     """Difference-set triangle inequality: |A-C|*|B| <= |A-B|*|B-C|."""
-    lhs = len(difference(A, C)) * len(_elements(B))
-    rhs = len(difference(A, B)) * len(difference(B, C))
+    a, c = _elements(A), _elements(C)
+    n_ac = _count_sums([(a, 1), (c, -1)])
+    b = _elements(B)
+    lhs = n_ac * len(b)
+    rhs = _count_sums([(a, 1), (b, -1)]) * _count_sums([(b, 1), (c, -1)])
     return TriangleResult(lhs=lhs, rhs=rhs, holds=lhs <= rhs)
 
 
@@ -157,9 +199,10 @@ class PlunneckeResult:
 def plunnecke_check(A, B, k: int) -> PlunneckeResult:
     if k < 1:
         raise ValidationError("iterated sumset order must be >= 1")
-    n_ab = len(sumset(A, B))
-    n_kb = len(iterated_sumset(k, B))
-    n_a = len(_elements(A))
+    a, b = _elements(A), _elements(B)
+    n_ab = _count_sums([(a, 1), (b, 1)])
+    n_kb = _count_sums([(b, 1)] * k)
+    n_a = len(a)
     lhs = n_kb * n_a**k
     bound = n_ab**k * n_a
     return PlunneckeResult(
@@ -180,13 +223,14 @@ class EnergyLowerResult:
 
 def cs_energy_lower_check(sets: Sequence[tuple[IntegerSet, int]]) -> EnergyLowerResult:
     """Cauchy-Schwarz lower bound: E * |c1*A1 + ... + cl*Al| >= (prod |Ai|)^2,
-    for IntegerSets Ai and coefficients ci >= 1."""
+    for IntegerSets Ai and coefficients ci >= 1.  E is the sum of the squared
+    counts of one representation function, and the sumset size its support."""
     sets = list(sets)
     if not sets:
         raise ValidationError("at least one (set, coefficient) pair is required")
     DilateSpec(tuple(c for _, c in sets))  # validates the coefficients
-    E = energy(sets, sets)  # validates the sets
-    size = len(_weighted_sums([(s.elements, c) for s, c in sets]))
+    E, size = _self_energy(sets)  # validates the sets
+    _require_nonempty(*(s.elements for s, _ in sets))
     product_sq = math.prod(len(s.elements) for s, _ in sets) ** 2
     return EnergyLowerResult(
         E=E, sumset_size=size, product_sq=product_sq, holds=E * size >= product_sq
@@ -203,6 +247,9 @@ def sample_integer_set(rng: random.Random, span: int, density: float) -> Integer
 
 
 def _one_trial(rng: random.Random, name: str) -> tuple[bool, dict]:
+    """Whether the named check held on fresh draws from `rng`, and the drawn
+    inputs as they are; the driver copies them into lists only for a
+    failure's reproducer."""
     span = rng.choice(TRIAL_SPANS)
     density = rng.choice(TRIAL_DENSITIES)
     if name == "ruzsa_triangle":
@@ -210,26 +257,25 @@ def _one_trial(rng: random.Random, name: str) -> tuple[bool, dict]:
         B = sample_integer_set(rng, span, density)
         C = sample_integer_set(rng, span, density)
         res = ruzsa_triangle_check(A, B, C)
-        detail = {"A": list(A), "B": list(B), "C": list(C)}
+        inputs = {"A": A, "B": B, "C": C}
     elif name == "plunnecke":
         A = sample_integer_set(rng, span, density)
         B = sample_integer_set(rng, span, density)
         k = rng.randint(1, 4)
         res = plunnecke_check(A, B, k)
-        detail = {"A": list(A), "B": list(B), "k": k}
+        inputs = {"A": A, "B": B, "k": k}
     elif name == "cs_energy_lower":
         A = sample_integer_set(rng, min(span, 30), density)
         coeffs = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
         res = cs_energy_lower_check([(A, c) for c in coeffs])
-        detail = {"A": list(A), "coeffs": coeffs}
+        inputs = {"A": A, "coeffs": coeffs}
     elif name == "dilate_inclusion":
         A = sample_integer_set(rng, min(span, 30), density)
         spec = DilateSpec(tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 3))))
-        inside = set(sum_of_dilates(spec, A)) <= set(iterated_sumset(spec.norm1, A))
-        return inside, {"A": list(A), "coeffs": list(spec.s)}
+        return _dilates_inside(spec, A.elements), {"A": A, "coeffs": spec.s}
     else:
         raise ValidationError(f"unknown check {name!r}")
-    return res.holds, detail
+    return res.holds, inputs
 
 
 def run_inequality_trials(trials: int, seed: int) -> dict:
@@ -246,10 +292,11 @@ def run_inequality_trials(trials: int, seed: int) -> dict:
     failures = []
     for t in range(trials):
         for name in CHECK_NAMES:
-            ok, detail = _one_trial(rng, name)
+            ok, inputs = _one_trial(rng, name)
             counts[name] += 1
             if not ok:
-                failures.append({"check": name, "trial": t, "inputs": detail})
+                inputs = {key: v if isinstance(v, int) else list(v) for key, v in inputs.items()}
+                failures.append({"check": name, "trial": t, "inputs": inputs})
     return {
         "trials": trials,
         "seed": seed,

@@ -399,3 +399,35 @@ def test_construct_ruzsa_budget_option(capsys):
     assert out.splitlines()[1:] == ["1", "8", "9", "64", "65", "72", "73"]
     code, out, err = run_cli(capsys, argv + ["48"])
     assert code == 3 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("N", [2**63 - 1, 2**63, 10**20])
+@pytest.mark.parametrize(
+    "cmd", [["search", "exact"], ["table", "rn", "--budget", "10"]], ids=["search", "table"]
+)
+def test_exact_search_past_int64_exits_3(capsys, monkeypatch, cmd, N):
+    # [1, N] has no C length from 2^63 on; its half-tuples are charged from
+    # N itself, so the join never sees it.
+    import symfree.search as search_mod
+
+    if N >= 2**63:
+        def join(elements, a, budget):
+            raise AssertionError("the join ran on [1, N]")
+
+        monkeypatch.setattr(search_mod, "_half_sum_pairs", join)
+    code, out, err = run_cli(capsys, cmd + ["--eq", "1,1", "--N", str(N)])
+    assert code == 3 and out == ""
+    assert err == "error: work budget of 10000000 steps exhausted\n"
+
+
+@pytest.mark.parametrize("eq, first", [("1,1", 472), ("1,2,2", 49), ("1,2,3", 39)])
+def test_exact_search_first_n_over_the_subset_budget(capsys, eq, first):
+    # The join's charge for [1, first] passes the 10^7-unit subset budget,
+    # and the one for [1, first - 1] does not.
+    from symfree.counting import _half_tuple_units
+    from symfree.search import DEFAULT_SUBSET_BUDGET
+
+    slots = sorted(parse_equation(eq).a)
+    assert _half_tuple_units(first - 1, slots, False) <= DEFAULT_SUBSET_BUDGET
+    code, out, err = run_cli(capsys, ["search", "exact", "--eq", eq, "--N", str(first)])
+    assert code == 3 and out == "" and err.startswith("error:")

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -18,7 +19,16 @@ from symfree import (
     sumset,
 )
 from symfree import setops
-from symfree.setops import _weighted_sums, sample_integer_set
+from symfree.counting import _self_energy
+from symfree.setops import (
+    CHECK_NAMES,
+    TRIAL_DENSITIES,
+    TRIAL_SPANS,
+    _dilates_inside,
+    _fold,
+    _weighted_sums,
+    sample_integer_set,
+)
 
 
 def _rand_set(rng, span=40, allow_negative=True):
@@ -212,3 +222,102 @@ def test_weighted_sums_on_extremes(monkeypatch):
                 assert _weighted_sums(terms) == expected
     with pytest.raises(ValidationError):
         _weighted_sums([((1,), 1), ((), 2)])
+
+
+def _decoded_size(*terms):
+    return len(_weighted_sums(terms))
+
+
+@pytest.mark.parametrize("route", ["hash", "mask"])
+def test_counted_sums_match_decoded_sums(monkeypatch, route):
+    # The checkers count the fold's mask bits or set members; each count
+    # must be the length of the decoded sums, on sets with negative members
+    # and under negative coefficients, on the route forced here.
+    monkeypatch.setattr(setops, "_MASK_SPAN_LIMIT", 0 if route == "hash" else 1 << 40)
+    rng = random.Random(11)
+    for _ in range(60):
+        a, b, c = (_rand_set(rng) for _ in range(3))
+        k = rng.randint(1, 4)
+        tri = ruzsa_triangle_check(a, b, c)
+        assert tri.lhs == _decoded_size((a, 1), (c, -1)) * len(b)
+        assert tri.rhs == _decoded_size((a, 1), (b, -1)) * _decoded_size((b, 1), (c, -1))
+
+        pl = plunnecke_check(a, b, k)
+        assert pl.lhs == _decoded_size(*[(b, 1)] * k) * len(a) ** k
+        assert pl.bound == _decoded_size((a, 1), (b, 1)) ** k * len(a)
+
+        spec = DilateSpec(tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 3))))
+        dilates, iterated = _fold([(a, s) for s in spec.s]), _fold([(a, 1)] * spec.norm1)
+        assert isinstance(dilates, set) == isinstance(iterated, set) == (route == "hash")
+        if route == "mask":
+            assert dilates[1] == iterated[1]  # the masks share one base
+        assert _dilates_inside(spec, a) == (
+            set(sum_of_dilates(spec, a)) <= set(iterated_sumset(spec.norm1, a))
+        )
+
+        A = make_set([v + 41 for v in a], 81)
+        coeffs = [rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)) for _ in range(rng.randint(1, 3))]
+        system = [(A, co) for co in coeffs]
+        counts = brute_rep([A.elements] * len(coeffs), coeffs)
+        terms = [(A.elements, co) for co in coeffs]
+        assert _self_energy(system) == (sum(n * n for n in counts.values()), _decoded_size(*terms))
+        if all(co > 0 for co in coeffs):
+            cs = cs_energy_lower_check(system)
+            assert (cs.E, cs.sumset_size) == _self_energy(system)
+            assert cs.product_sq == len(A) ** (2 * len(coeffs))
+
+
+_CHECKERS = {
+    "ruzsa_triangle": "ruzsa_triangle_check",
+    "plunnecke": "plunnecke_check",
+    "cs_energy_lower": "cs_energy_lower_check",
+    "dilate_inclusion": "_dilates_inside",
+}
+
+
+def _replayed_inputs(seed: int, trial: int, check: str) -> dict:
+    """The inputs of one trial of one check, drawn by replaying the trial
+    driver's stream from `random.Random(seed)`."""
+    rng = random.Random(seed)
+    for t in range(trial + 1):
+        for name in CHECK_NAMES:
+            span, density = rng.choice(TRIAL_SPANS), rng.choice(TRIAL_DENSITIES)
+
+            def draw(bound=span):
+                return list(sample_integer_set(rng, bound, density).elements)
+
+            if name == "ruzsa_triangle":
+                inputs = {"A": draw(), "B": draw(), "C": draw()}
+            elif name == "plunnecke":
+                inputs = {"A": draw(), "B": draw(), "k": rng.randint(1, 4)}
+            else:
+                A = draw(min(span, 30))
+                inputs = {"A": A, "coeffs": [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]}
+            if (t, name) == (trial, check):
+                return inputs
+    raise AssertionError("unreachable")
+
+
+@pytest.mark.parametrize("check", CHECK_NAMES)
+def test_failure_reproducer_replays_its_trial(monkeypatch, check):
+    # The driver keeps a trial's inputs only when it fails: make one checker
+    # fail at one trial and replay the seed's stream up to it.
+    seed, trial, trials = 21, 6, 9
+    real = getattr(setops, _CHECKERS[check])
+    calls = []
+
+    def failing(*args):
+        res = real(*args)
+        calls.append(res)
+        if len(calls) - 1 != trial:
+            return res
+        return False if isinstance(res, bool) else dataclasses.replace(res, holds=False)
+
+    monkeypatch.setattr(setops, _CHECKERS[check], failing)
+    summary = run_inequality_trials(trials, seed)
+    assert len(calls) == trials
+    assert summary["per_check_counts"] == {name: trials for name in CHECK_NAMES}
+    [failure] = summary["failures"]
+    inputs = _replayed_inputs(seed, trial, check)
+    assert failure == {"check": check, "trial": trial, "inputs": inputs}
+    assert all(type(v) in (list, int) for v in failure["inputs"].values())
