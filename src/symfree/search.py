@@ -40,13 +40,25 @@ DEFAULT_SUBSET_BUDGET = 10**7
 DEFAULT_NODE_BUDGET = 5 * 10**6
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SolutionHypergraph:
-    """Forbidden 2k-subsets of [1, N], each an ascending tuple."""
+    """Forbidden 2k-subsets of [1, N].  `rows` holds one subset a row, its
+    values ascending, in the narrowest unsigned dtype that holds N; the
+    rows are in lexicographic order and each subset is listed once."""
 
     N: int
     k: int
-    edges: list[tuple[int, ...]]
+    rows: np.ndarray
+
+    @property
+    def edges(self) -> list[tuple[int, ...]]:
+        """The rows as ascending tuples of Python ints, in the same order.
+        Built anew on each read; the search itself reads only `rows`."""
+        edges: list[tuple[int, ...]] = []
+        # Blocks of rows hold far less than one tolist() of all of them.
+        for start in range(0, len(self.rows), 1 << 16):
+            edges.extend(zip(*self.rows[start : start + (1 << 16)].T.tolist()))
+        return edges
 
 
 def build_hypergraph(
@@ -63,7 +75,10 @@ def build_hypergraph(
     more when its sums pass int64, before [1, N] or any array is built, then
     2k + 2 units per entry in a run before the first pass gathers, then the
     entries each pass compares.  Exceeding it raises, and no partial
-    hypergraph is returned.
+    hypergraph is returned.  While a row packs into 64 bits (2k fields of
+    bit_length(N) bits), the whole build, join and rows, peaks at no more
+    than 24 bytes per unit charged: a pair's key takes 8 bytes and is
+    sorted in place, with no index array beside it.
     """
     if N < 1:
         raise ValidationError("domain bound N must be >= 1")
@@ -74,24 +89,34 @@ def build_hypergraph(
         # that covers them still could not list them, so N is refused.
         WorkBudget(budget).spend(_half_tuple_units(N, sorted(eq.a), True))
         raise ValidationError("domain bound N must be below 2^63")
-    # Rows keep the narrowest dtype that holds N, so that all pairs, listed
-    # before duplicates go, take less room than the edge tuples.
-    passes = [
-        np.sort(rows, axis=1).astype(np.min_scalar_type(N))
-        for rows in _half_sum_pairs(range(1, N + 1), eq.a, WorkBudget(budget))
-    ]
-    rows = np.concatenate(passes) if passes else np.empty((0, 2 * eq.k), np.int32)
+    # Each pair's row packs into one key, a field of bit_length(N) bits per
+    # index from the smallest up, so that keys sort as rows do and equal
+    # rows are equal keys: uint64 while 2k fields fit, Python ints past it.
+    two_k, bits = 2 * eq.k, N.bit_length()
+    wide = np.uint64 if two_k * bits <= 64 else object
+    passes = []
+    for pairs in _half_sum_pairs(range(1, N + 1), eq.a, WorkBudget(budget)):
+        key = np.zeros(len(pairs), dtype=wide)
+        for col in np.sort(pairs, axis=1).T:
+            key <<= bits
+            key |= col.astype(wide)
+        passes.append(key)
+    keys = np.concatenate(passes) if passes else np.empty(0, wide)
     del passes
-    rows = rows[np.lexsort(rows.T[::-1])]
-    keep = np.ones(len(rows), dtype=bool)
-    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    rows = rows[keep]
-    edges: list[tuple[int, ...]] = []
-    # Index i stands for the value i + 1.  Blocks of rows hold far less
-    # than one tolist() of all of them.
-    for start in range(0, len(rows), 1 << 16):
-        edges.extend(zip(*(rows[start : start + (1 << 16)] + 1).T.tolist()))
-    return SolutionHypergraph(N=N, k=eq.k, edges=edges)
+    keys.sort()  # in place: no index array, no second copy
+    keep = np.ones(len(keys), dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    keys = keys[keep]
+    del keep
+    rows = np.empty((len(keys), two_k), dtype=np.min_scalar_type(N))
+    # Unpacked in blocks, so that the shifted copies stay small.
+    for start in range(0, len(keys), 1 << 16):
+        block = keys[start : start + (1 << 16)]
+        for j in reversed(range(two_k)):
+            rows[start : start + len(block), j] = block & ((1 << bits) - 1)
+            block = block >> bits
+    rows += 1  # index i stands for the value i + 1
+    return SolutionHypergraph(N=N, k=eq.k, rows=rows)
 
 
 @dataclass(frozen=True)
@@ -129,18 +154,35 @@ def exact_max_solution_free(
     reach the target.  The first set reaching it ends the row; an exhausted
     row has R(v) = R(v-1).  If the node budget runs out, the last settled
     row's witness is returned with exact=False.
+
+    The hypergraph's edges are ordered by their largest vertex once, and
+    row v files the triggers of the edges topped by v, from one numpy pass
+    over their vertex masks, just before it is searched; a table cut short
+    by the node budget files nothing for the rows it does not reach.
+    Entries outlive their row: removing them costs more than keeping them,
+    and none can fire where it does not hold (see `trig` below).
     """
     t0 = time.perf_counter()
-    H = build_hypergraph(N, eq)
     n_rest = 2 * eq.k - 2
-    by_top: list[list[tuple[int, ...]]] = [[] for _ in range(N + 1)]
-    for e in H.edges:
-        by_top[e[-1]].append(e)
+    # Edges ordered by their top vertex: block v, edges[tops[v]:tops[v + 1]],
+    # holds those whose largest vertex is v.
+    edges = build_hypergraph(N, eq).rows
+    edges = edges[np.argsort(edges[:, -1], kind="stable")]
+    tops = [0, *np.bincount(edges[:, -1], minlength=N + 1).cumsum().tolist()]
+    # Bit masks of vertices fit uint64 below N = 64, Python ints past it.
+    one = np.uint64(1) if N < 64 else 1
+    wide = np.uint64 if N < 64 else object
     # trig[w] maps a mask of n_rest chosen vertices to the vertices blocked
     # once w joins them: an edge is completed only by its last vertex in
     # branching order, which is blocked when the one before it is included.
+    # Each edge (rest, a, b, v) files two entries before row v: trig[a] at
+    # rest | v blocks b, for row v, where v is chosen throughout and b comes
+    # last; trig[b] at rest | a blocks v, for every later row.  Neither is
+    # removed.  The first key holds v, which no other row chooses before a;
+    # the second blocks only v, which row v holds already.
     trig: list[dict[int, int]] = [{} for _ in range(N + 1)]
-
+    # A new entry holds one of these masks itself, not a copy of it.
+    bit = [1 << u for u in range(N + 1)]
     rows = [tuple(range(1, m + 1)) for m in range(1, min(N, n_rest + 1) + 1)]
     nodes = 0
     exact = True
@@ -182,31 +224,32 @@ def exact_max_solution_free(
         for v in range(len(rows) + 1, N + 1):
             prev = rows[-1]
             target = len(prev) + 1
-            bit_v = 1 << v
-            # Each edge through v as (a, b, mask of the rest), a < b < v.
-            through_v = [(a, b, sum(1 << u for u in rest)) for *rest, a, b, _ in by_top[v]]
+            bit_v = bit[v]
+            block = edges[tops[v] : tops[v + 1]]
+            masks = one << block[:, :-2].astype(wide)  # rest, then a
+            rest = np.bitwise_or.reduce(masks[:, :-1], axis=1)
+            for a, b, row_key, later_key in zip(
+                block[:, -3].tolist(),
+                block[:, -2].tolist(),
+                (rest | bit_v).tolist(),
+                (rest | masks[:, -1]).tolist(),
+            ):
+                d = trig[a]
+                d[row_key] = d[row_key] | bit[b] if row_key in d else bit[b]
+                d = trig[b]
+                d[later_key] = d[later_key] | bit_v if later_key in d else bit_v
             if not has_distinct_solution_using(make_set(prev, v), eq, v):
                 found = prev + (v,)
             else:
-                # Edges through v: v is chosen throughout the row, so the
-                # two largest other vertices come last in branching order.
-                for a, b, rest in through_v:
-                    d = trig[a]
-                    d[rest | bit_v] = d.get(rest | bit_v, 0) | 1 << b
                 cap = [0, 0] + [len(rows[v - w]) - 1 for w in range(2, v)]
                 levels = [[2, bit_v], [2 | bit_v]] + [[] for _ in range(n_rest - 2)]
                 hit = rec(bit_v - 4, levels)
-                for a, _, rest in through_v:
-                    trig[a].pop(rest | bit_v, None)
                 found = bit_positions(hit) if hit else None
             if found and (len(found) != target or not is_solution_free(make_set(found, v), eq)):
                 raise InvariantViolation(
                     f"row {v} of {eq}: witness {found} is not a free set of size {target}"
                 )
             rows.append(found or prev)
-            for a, b, rest in through_v:
-                d = trig[b]
-                d[rest | 1 << a] = d.get(rest | 1 << a, 0) | bit_v
     except _OutOfNodes:
         exact = False
     finally:

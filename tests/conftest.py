@@ -2,12 +2,18 @@
 
 Collects the outcome of each test_criterion_* function in the acceptance
 gate and prints one PASS/FAIL line per criterion in the terminal summary,
-and fixes the one hypothesis profile the property tests run under.
+fixes the one hypothesis profile the property tests run under, and gives
+the child interpreters that some CLI tests start this checkout's `src/`.
 """
 
+import os
 import re
+from pathlib import Path
 
+import pytest
 from hypothesis import settings
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 # Examples derive from each test's name, so every run draws the same ones;
 # no per-example deadline, since run time swings on a loaded host; and a
@@ -16,6 +22,15 @@ settings.register_profile(
     "symfree", derandomize=True, database=None, deadline=None, max_examples=150
 )
 settings.load_profile("symfree")
+
+
+@pytest.fixture(autouse=True)
+def _children_import_this_checkout(monkeypatch):
+    # pytest's `pythonpath` reaches only this process; `python -m symfree`
+    # run as a child needs src/ on PYTHONPATH as well.
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    monkeypatch.setenv("PYTHONPATH", path)
+
 
 _CRITERION = re.compile(r"test_criterion_(\d+)_(\w+)")
 _results: dict[int, tuple[str, bool]] = {}

@@ -2,6 +2,8 @@ import json
 import math
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import pytest
 
@@ -431,3 +433,36 @@ def test_exact_search_first_n_over_the_subset_budget(capsys, eq, first):
     assert _half_tuple_units(first - 1, slots, False) <= DEFAULT_SUBSET_BUDGET
     code, out, err = run_cli(capsys, ["search", "exact", "--eq", eq, "--N", str(first)])
     assert code == 3 and out == "" and err.startswith("error:")
+
+
+HOSTILE_ARGS = [
+    *(["--eq", "1,1", "--N", n] for n in ("0", "-1", str(2**63 - 1), str(2**63), str(10**20))),
+    *(["--eq", "1,1", "--N", "12", "--budget", b] for b in ("0", "1", str(10**30))),
+    ["--eq", "1,0", "--N", "12"],
+    ["--eq", f"1,{10**30}", "--N", "12"],
+    ["--eq", "1,1,1,1,1,1,1,1", "--N", "16"],
+]
+
+
+@pytest.mark.parametrize("args", HOSTILE_ARGS, ids="_".join)
+@pytest.mark.parametrize("cmd", [["search", "exact"], ["table", "rn"]], ids=["search", "table"])
+def test_exact_search_hostile_inputs_exit_cleanly(capsys, cmd, args):
+    # Each input gives a result, or one error line and exit 2 or 3; one that
+    # is refused is refused before anything sized by it is allocated.
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        try:
+            code = main(cmd + args)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+        elapsed = time.perf_counter() - t0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err and len(err.splitlines()) <= 1
+    assert elapsed < 10
+    if code:
+        assert err.startswith("error:") and peak < 1 << 20

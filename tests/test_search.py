@@ -1,6 +1,7 @@
 import gc
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -13,6 +14,7 @@ from symfree import (
     make_set,
     parse_equation,
 )
+import symfree.search as search_mod
 from symfree.search import (
     build_hypergraph,
     check_energy_bounds,
@@ -73,6 +75,44 @@ def test_hypergraph_sums_past_int64_stay_exact():
     assert is_solution_free(make_set(range(1, 10), 9), eq)
 
 
+def test_hypergraph_rows_past_64_bits_pack_as_python_ints():
+    # 14 fields of bit_length(16) = 5 bits pass 64, so the rows are keyed
+    # by Python ints.  With every coefficient 1, a 14-set is forbidden when
+    # 7 of its values, one of them its least, sum to half its total.
+    eq = parse_equation("1,1,1,1,1,1,1")
+    want = [
+        s for s in combinations(range(1, 17), 14)
+        if any(2 * (s[0] + sum(h)) == sum(s) for h in combinations(s[1:], 6))
+    ]
+    assert build_hypergraph(16, eq).edges == want
+    assert len(want) == 56
+
+
+def test_hypergraph_peak_bytes_per_unit(monkeypatch):
+    # The whole build, rows included, holds at most 24 bytes per unit the
+    # join charges.
+    made = []
+
+    class Recorded(search_mod.WorkBudget):
+        __slots__ = ()
+
+        def __init__(self, limit):
+            super().__init__(limit)
+            made.append(self)
+
+    monkeypatch.setattr(search_mod, "WorkBudget", Recorded)
+    for eq_text, n in (("1,1", 300), ("1,2,2", 30), ("1,1,1", 30)):
+        made.clear()
+        tracemalloc.start()
+        try:
+            H = build_hypergraph(n, parse_equation(eq_text))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        units = sum(wb.used for wb in made)
+        assert len(H.rows) and peak <= 24 * units, (eq_text, n, peak / units)
+
+
 def test_hypergraph_budget():
     with pytest.raises(BudgetExceededError):
         build_hypergraph(10, EQ11, budget=5)
@@ -130,6 +170,9 @@ def test_exact_max_node_counts_pinned():
         ("1,2,2", 14): (6, 496, 2532),
         ("1,-2", 20): (7, 356, 1128),
         ("2,-1,3", 11): (5, 209, 462),
+        # The last row whose vertex masks fit uint64, and Python-int masks.
+        ("1,16", 63): (31, 171123, 5345),
+        ("1,16", 66): (32, 172211, 6284),
     }
     for (eq_text, n), want in expected.items():
         eq = parse_equation(eq_text)
