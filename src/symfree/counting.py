@@ -487,10 +487,11 @@ def _search_witness(
     Values are drawn from `elements`, and every solution yielded meets
     `_order_constraints`, so each orbit of the slot symmetries is yielded
     once.  The last two positions are completed with one lookup in an index
-    of ordered pairs of different elements keyed by their weighted sum in
-    those slots, each list in lexicographic order; its |A|(|A|-1) entries
-    are charged before it is built.  Yields solution tuples in slot order,
-    lexicographically ascending.
+    of the pairs of different elements those slots can take, keyed by their
+    weighted sum in those slots, each list in lexicographic order: ordered
+    pairs, or only increasing ones when the last slot is tied to the one
+    before it.  |A|(|A|-1) units are charged before the index is built.
+    Yields solution tuples in slot order, lexicographically ascending.
     """
     coeffs = eq.full_coefficients()
     n = len(coeffs)
@@ -498,27 +499,27 @@ def _search_witness(
     if len(elems) < n:
         return
     budget.spend(len(elems) * (len(elems) - 1))
+    prev = _order_constraints(coeffs, eq.k)
     cp, cq = coeffs[-2:]
+    tied = prev[n - 1] == n - 2
     pair_index: dict[int, list[tuple[int, int]]] = {}
-    for x in elems:
+    for i, x in enumerate(elems):
         cx = cp * x
-        for y in elems:
+        for y in elems[i + 1 :] if tied else elems:
             if x != y:
                 pair_index.setdefault(cx + cq * y, []).append((x, y))
-    prev = _order_constraints(coeffs, eq.k)
 
-    lo = [0] * (n + 1)
-    hi = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
+    # Extremes of the sum over slots i.. for the suffixes the walk bounds.
+    lo, hi = [0] * (n + 1), [0] * (n + 1)
+    for i in range(n - 1, eq.k, -1):
         ends = (coeffs[i] * elems[0], coeffs[i] * elems[-1])
-        lo[i] = lo[i + 1] + min(ends)
-        hi[i] = hi[i + 1] + max(ends)
+        lo[i], hi[i] = lo[i + 1] + min(ends), hi[i + 1] + max(ends)
 
     val = [0] * n
     used: set[int] = set()
     last = n - 3
     prev_pen = prev[n - 2]
-    prev_last = prev[n - 1]
+    prev_last = -1 if tied else prev[n - 1]  # a tie to n - 2 is in the index
 
     def rec(pos: int, partial: int) -> Iterator[tuple[int, ...]]:
         c = coeffs[pos]
@@ -527,8 +528,7 @@ def _search_witness(
             start = bisect_right(elems, val[prev[pos]])
         if pos == last:
             # The last free slot takes only values whose pair sum is indexed,
-            # found in one filtered pass; the exact lookup subsumes the
-            # suffix bound.
+            # found in one filtered pass.
             budget.spend(len(elems) - start)
             target = -partial
             hits = [v for v in elems[start:] if target - c * v in pair_index]
@@ -544,27 +544,26 @@ def _search_witness(
                         continue
                     if prev_pen >= 0 and x <= val[prev_pen]:
                         continue
-                    if prev_last == n - 2:
-                        if y <= x:
-                            continue
-                    elif prev_last >= 0 and y <= val[prev_last]:
+                    if prev_last >= 0 and y <= val[prev_last]:
                         continue
                     val[n - 2] = x
                     val[n - 1] = y
                     yield tuple(val)
             return
-        nxt = pos + 1
+        # Before slot k each filled slot's negated partner is still free to
+        # cancel it, so the suffix bound can cut only from slot k on (k >= 4).
+        bounded = pos >= eq.k
         for idx in range(start, len(elems)):
             v = elems[idx]
             if v in used:
                 continue
             budget.spend()
             p = partial + c * v
-            if p + lo[nxt] > 0 or p + hi[nxt] < 0:
+            if bounded and (p + lo[pos + 1] > 0 or p + hi[pos + 1] < 0):
                 continue
             val[pos] = v
             used.add(v)
-            yield from rec(nxt, p)
+            yield from rec(pos + 1, p)
             used.discard(v)
 
     try:

@@ -435,25 +435,25 @@ def test_exact_search_first_n_over_the_subset_budget(capsys, eq, first):
     assert code == 3 and out == "" and err.startswith("error:")
 
 
+HOSTILE_N = ("0", "-1", str(2**63 - 1), str(2**63), str(10**20))
+HOSTILE_BUDGETS = ("0", "1", str(10**30))
+HOSTILE_EQS = ("1", "1,0", f"1,{10**30}", "1,1,1,1,1,1,1,1")
+
 HOSTILE_ARGS = [
-    *(["--eq", "1,1", "--N", n] for n in ("0", "-1", str(2**63 - 1), str(2**63), str(10**20))),
-    *(["--eq", "1,1", "--N", "12", "--budget", b] for b in ("0", "1", str(10**30))),
-    ["--eq", "1,0", "--N", "12"],
-    ["--eq", f"1,{10**30}", "--N", "12"],
-    ["--eq", "1,1,1,1,1,1,1,1", "--N", "16"],
+    *(["--eq", "1,1", "--N", n] for n in HOSTILE_N),
+    *(["--eq", "1,1", "--N", "12", "--budget", b] for b in HOSTILE_BUDGETS),
+    *(["--eq", eq, "--N", n] for eq, n in zip(HOSTILE_EQS[1:], ("12", "12", "16"))),
 ]
 
 
-@pytest.mark.parametrize("args", HOSTILE_ARGS, ids="_".join)
-@pytest.mark.parametrize("cmd", [["search", "exact"], ["table", "rn"]], ids=["search", "table"])
-def test_exact_search_hostile_inputs_exit_cleanly(capsys, cmd, args):
-    # Each input gives a result, or one error line and exit 2 or 3; one that
+def _assert_exits_cleanly(capsys, argv):
+    # The input gives a result, or one error line and exit 2 or 3; one that
     # is refused is refused before anything sized by it is allocated.
     tracemalloc.start()
     t0 = time.perf_counter()
     try:
         try:
-            code = main(cmd + args)
+            code = main(argv)
         except SystemExit as exc:  # argparse's own usage errors
             code = exc.code
         elapsed = time.perf_counter() - t0
@@ -466,3 +466,83 @@ def test_exact_search_hostile_inputs_exit_cleanly(capsys, cmd, args):
     assert elapsed < 10
     if code:
         assert err.startswith("error:") and peak < 1 << 20
+
+
+@pytest.mark.parametrize("args", HOSTILE_ARGS, ids="_".join)
+@pytest.mark.parametrize("cmd", [["search", "exact"], ["table", "rn"]], ids=["search", "table"])
+def test_exact_search_hostile_inputs_exit_cleanly(capsys, cmd, args):
+    _assert_exits_cleanly(capsys, cmd + args)
+
+
+HOSTILE_SET_FILES = {
+    "ok.txt": "1\n2\n5\n7\n11\n",
+    "empty.txt": "",
+    "floats.txt": "1.5\n2\n",
+    "floats.json": "[1.5, 2]",
+    "zero.txt": "0\n1\n2\n",
+    "negative.txt": "-3\n1\n2\n",
+    "duplicates.txt": "1\n1\n2\n5\n",
+    "huge.txt": f"1\n2\n{2**100}\n",
+    "malformed.json": "[1, 2,",
+    "object.json": '{"a": 1}',
+}
+HOSTILE_POINT_FILES = {
+    "points.csv": "N,size\n10,4\n20,6\n40,9\n",
+    "empty.csv": "",
+    "floats.csv": "10,4\n20,6.5\n40,9\n80,12\n",
+    "zero.csv": "0,0\n10,4\n20,6\n40,9\n",
+    "negative.csv": "-10,4\n20,-6\n40,9\n80,12\n",
+    "huge.csv": f"{10**400},4\n20,6\n40,9\n",
+    "same_n.csv": "10,4\n10,4\n10,4\n",
+    "text.csv": "a,b\nx,y\n",
+    "malformed.json": "[1, 2,",
+}
+_SET_COMMANDS = (
+    ["count", "energy"],
+    ["count", "solutions"],
+    ["count", "distinct"],
+    ["count", "distinct", "--method", "enumerate"],
+    ["verify", "solution-free"],
+    ["check", "bounds"],
+)
+_RUZSA = ["construct", "ruzsa", "--d", "2", "--k", "2"]
+_HEURISTIC = ["search", "heuristic", "--trials", "2"]
+
+HOSTILE_COMMANDS = [
+    *(
+        argv
+        for cmd in _SET_COMMANDS
+        for argv in (
+            *(cmd + ["--eq", "1,1", "--set", "ok.txt", "--N", n] for n in HOSTILE_N),
+            *(cmd + ["--eq", "1,1", "--set", "ok.txt", "--budget", b] for b in HOSTILE_BUDGETS),
+            *(cmd + ["--eq", eq, "--set", "ok.txt"] for eq in HOSTILE_EQS),
+            *(cmd + ["--eq", "1,1", "--set", f] for f in HOSTILE_SET_FILES if f != "ok.txt"),
+        )
+    ),
+    # At the default budget the digit set for N = 2^63 has millions of
+    # members and is printed in full, so the huge N run under 10^6 units.
+    *(_RUZSA + ["--N", n, "--budget", str(10**6)] for n in HOSTILE_N),
+    *(_RUZSA + ["--N", "100", "--budget", b] for b in HOSTILE_BUDGETS),
+    *(
+        ["construct", "ruzsa", "--d", d, "--k", k, "--N", "100"]
+        for d, k in (
+            ("2", "1"), ("0", "2"), ("2", "0"), (str(10**30), "2"), ("2", str(10**30)), ("2", "8")
+        )
+    ),
+    *(_HEURISTIC + ["--eq", "1,1", "--N", n] for n in HOSTILE_N),
+    *(_HEURISTIC + ["--eq", "1,1", "--N", "12", "--budget", b] for b in HOSTILE_BUDGETS),
+    *(_HEURISTIC + ["--eq", eq, "--N", "16"] for eq in HOSTILE_EQS),
+    ["search", "heuristic", "--eq", "1,1", "--N", "12", "--trials", "0"],
+    ["check", "inequalities", "--trials", "0"],
+    ["check", "inequalities", "--trials", "-1"],
+    ["check", "inequalities", "--trials", "1", "--seed", str(10**30)],
+    *(["fit", "--points", f] for f in HOSTILE_POINT_FILES),
+]
+
+
+@pytest.mark.parametrize("argv", HOSTILE_COMMANDS, ids="_".join)
+def test_hostile_inputs_exit_cleanly(capsys, monkeypatch, tmp_path, argv):
+    for name, text in {**HOSTILE_SET_FILES, **HOSTILE_POINT_FILES}.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    _assert_exits_cleanly(capsys, argv)

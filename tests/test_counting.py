@@ -410,6 +410,50 @@ def test_walk_yields_canonical_solutions_in_lexicographic_order():
             walk = list(_search_witness(A.elements, eq, WorkBudget()))
             assert walk == _canonical_solutions(A.elements, eq)
             assert find_distinct_solution(A, eq) == (walk[0] if walk else None)
+    # k = 4 is the smallest shape whose walk branches on a second-half slot,
+    # where the suffix bound cuts.  Eight values solve 1,1,1,1 only when they
+    # split into two halves of equal sum; its third set does.
+    for eq4 in map(parse_equation, ("1,1,1,1", "10,1,1,1", "4,3,2,1")):
+        found = 0
+        for _ in range(3):
+            A = make_set(rng.sample(range(1, 13), 8), 12)
+            walk = list(_search_witness(A.elements, eq4, WorkBudget()))
+            assert walk == _canonical_solutions(A.elements, eq4)
+            found += len(walk)
+        assert found, eq4
+
+
+def test_walk_suffix_bound_cuts_from_slot_k():
+    # Under 100,1,1,1 on [1, 16], x_5 > x_1 leaves 100(x_1 - x_5) <= -100,
+    # which the other slots cannot cancel.  The suffix bound cuts each x_5
+    # at once; without it each one scans every value of x_6, and this walk
+    # charges 752,016 units.
+    wb = WorkBudget()
+    walk = _search_witness(tuple(range(1, 17)), parse_equation("100,1,1,1"), wb)
+    assert next(walk, None) is None
+    assert wb.used <= 53136
+
+
+def test_walk_peak_bytes_per_unit():
+    # The walk to a first solution holds at most 40 bytes per unit charged
+    # when the last slot is tied to the one before it, whose pair index
+    # keeps only increasing pairs, and at most 72 with every ordered pair.
+    cases = (
+        ("1,1", 400, 40),
+        ("1,2,2", 400, 40),
+        ("1,1,1", 300, 40),
+        ("1,2", 400, 72),
+        ("1,2,3", 400, 72),
+    )
+    for eq_text, n, per_unit in cases:
+        wb = WorkBudget()
+        tracemalloc.start()
+        try:
+            hit = next(_search_witness(tuple(range(1, n + 1)), parse_equation(eq_text), wb))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert hit and peak <= per_unit * wb.used, (eq_text, n, peak / wb.used)
 
 
 def test_freeness_decision_matches_oracle_and_walk(monkeypatch):
