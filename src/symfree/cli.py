@@ -2,7 +2,8 @@
 
 Data goes to stdout (JSON objects for single results, CSV for tables), log
 and error text to stderr.  Exit codes: 0 success, 2 invalid input, 3 work
-budget exceeded or memory exhausted, 4 internal invariant violation.  With
+budget exceeded or memory exhausted, 4 internal invariant violation, 141
+stdout closed by its reader before the output ended.  With
 fixed seeds every command prints byte-identical output on repeated runs;
 pass --timing to add a wall-clock field that is exempt from that guarantee.
 """
@@ -45,6 +46,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 EXIT_INVARIANT = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
 # Lines per write of `construct ruzsa`.  Blocks this large (about 280 KB for
 # the 524,288-member set) leave less of the heap behind than 1,024-line
@@ -226,6 +228,14 @@ def _cmd_table_rn(args) -> int:
     return EXIT_OK
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_points(path: str) -> list[tuple[int, int]]:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -238,7 +248,7 @@ def _read_points(path: str) -> list[tuple[int, int]]:
     header = rows[0]
     col_n, col_size = 0, 1
     start = 0
-    if any(not cell.lstrip("-").isdigit() for cell in header[:2]):
+    if not any(map(_is_number, header[:2])):
         start = 1
         if "N" in header and "size" in header:
             col_n, col_size = header.index("N"), header.index("size")
@@ -371,6 +381,14 @@ def main(argv=None) -> int:
         detail = f": {exc}" if str(exc) else ""
         print(f"error: out of memory{detail}", file=sys.stderr)
         return EXIT_BUDGET
+    except BrokenPipeError:
+        # The reader closed stdout early, as `| head -1` does.  The rest of
+        # the output is dropped, and stdout goes to devnull so that the
+        # flush at exit does not raise again.
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ import random
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
@@ -144,6 +143,52 @@ def predicted_exponent(d: int, k: int) -> float:
     return math.log(d) / math.log(d * d * k)
 
 
+def _drop(C: tuple[int, ...], *cs: int) -> tuple[int, ...]:
+    """The sorted multiset C less one copy of each of cs."""
+    rest = list(C)
+    for c in cs:
+        rest.remove(c)
+    return tuple(rest)
+
+
+def _sum_bitset_plan(tops: list[tuple[int, ...]]) -> tuple[set, list]:
+    """The keys of the sub-multiset sum bitsets a caller keeps to read D[C]
+    for each C in `tops`, and how one added value grows them.
+
+    Multisets of coefficients are sorted tuples, and D[C] holds every sum of
+    c*s over injective maps of C's slots into the set, at a bit offset that
+    keeps every index positive.  The keys are `tops` and every multiset
+    reached from them by dropping coefficients, down to (), whose one sum
+    is 0.  Each update (C, parts) pairs a nonempty key with (c, C - {c})
+    for each distinct c in C: a new value x fills at most one slot of a
+    map, so D[C] gains D[C - {c}] shifted by c*x.
+    """
+    keys: set[tuple[int, ...]] = set()
+    todo = list(tops)
+    while todo:
+        C = todo.pop()
+        if C not in keys:
+            keys.add(C)
+            todo.extend(_drop(C, c) for c in set(C))
+    updates = [
+        (C, [(c, _drop(C, c)) for c in sorted(set(C))]) for C in sorted(keys) if C
+    ]
+    return keys, updates
+
+
+def _grow_sums(D: dict, updates: list, x: int) -> dict:
+    """The bitsets of `_sum_bitset_plan` once x joins the set, as a new dict;
+    every update reads the old bitsets in D."""
+    grown = dict(D)
+    for C, parts in updates:
+        bits = D[C]
+        for c, sub in parts:
+            s = c * x
+            bits |= D[sub] << s if s > 0 else D[sub] >> -s
+        grown[C] = bits
+    return grown
+
+
 def greedy_solution_free(
     N: int,
     eq: Equation,
@@ -163,9 +208,7 @@ def greedy_solution_free(
     norm1*N so that no index is negative.  S is free, so a solution of S plus
     x uses x once, and negating it if need be puts x at a positive
     coefficient c: x is rejected iff -c*x is in D[F - {c}] for some c.  A
-    kept x fills at most one slot of each map, so D[C] gains, for each c in
-    C, the old D[C - {c}] shifted by c*x; the largest C are updated first,
-    so each reads the smaller ones before they change.
+    kept x grows the bitsets by `_grow_sums`.
 
     One budget covers the scan.  The memory it allocates is charged before
     any is: five words per candidate (a list slot and an int object) and
@@ -176,28 +219,9 @@ def greedy_solution_free(
         raise ValidationError("domain bound N must be >= 1")
     if order not in ("ascending", "shuffle"):
         raise ValidationError(f"unknown order {order!r}")
-    full = eq.full_coefficients()
-    # A sub-multiset of F is a count per distinct coefficient value.
-    values = sorted(set(full))
-    counts = tuple(full.count(c) for c in values)
-
-    def minus(C: tuple[int, ...], i: int) -> tuple[int, ...]:
-        return C[:i] + (C[i] - 1,) + C[i + 1 :]
-
-    positive = [i for i, c in enumerate(values) if c > 0]
-    tests = [(values[i], minus(counts, i)) for i in positive]
-    # The bitsets the tests read and their sub-multisets: those missing a
-    # positive coefficient.
-    keys = [
-        C
-        for C in product(*(range(m + 1) for m in counts))
-        if any(C[i] < counts[i] for i in positive)
-    ]
-    updates = [
-        (C, [(values[i], minus(C, i)) for i in range(len(C)) if C[i]])
-        for C in sorted(keys, key=sum, reverse=True)
-        if any(C)
-    ]
+    full = tuple(sorted(eq.full_coefficients()))
+    tests = [(c, _drop(full, c)) for c in sorted(set(full)) if c > 0]
+    keys, updates = _sum_bitset_plan([rest for _, rest in tests])
     offset = eq.norm1 * N
     words = 2 * offset // 64 + 1
     wb = WorkBudget(budget)
@@ -206,18 +230,13 @@ def greedy_solution_free(
     if order == "shuffle":
         random.Random(seed).shuffle(candidates)
     D = dict.fromkeys(keys, 0)
-    D[(0,) * len(values)] = 1 << offset
+    D[()] = 1 << offset
     shifts = sum(len(parts) for _, parts in updates)
     chosen: list[int] = []
     for x in candidates:
         if any(D[rest] >> (offset - c * x) & 1 for c, rest in tests):
             continue
         wb.spend(shifts * words)
-        for C, parts in updates:
-            grown = D[C]
-            for c, sub in parts:
-                s = c * x
-                grown |= D[sub] << s if s > 0 else D[sub] >> -s
-            D[C] = grown
+        D = _grow_sums(D, updates, x)
         chosen.append(x)
     return IntegerSet(tuple(sorted(chosen)), N)

@@ -17,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from .construct import greedy_solution_free
+from .construct import _drop, _grow_sums, _sum_bitset_plan, greedy_solution_free
 from .counting import (
     DEFAULT_BUDGET,
     WorkBudget,
@@ -136,6 +136,50 @@ class _OutOfNodes(Exception):
     pass
 
 
+def _unit_sums(eq: Equation, N: int):
+    """The pair conflicts of an equation whose coefficients are all +-1, on
+    sets in [1, N], read from sum bitsets (`construct._sum_bitset_plan`).
+
+    Returns the bitsets of the empty set, their update list for
+    `construct._grow_sums`, and a function taking the bitsets of a set S to
+    its conflict function:
+    u -> a mask holding each b for which S + {u, b} has a solution using
+    both.  Negating a solution puts b at a -1 slot, and u sits at some
+    c = +-1, so b = r - c*u for a sum r of the other slots over S, i.e. for
+    r in D[F - {-c, -1}]: one shift per sign of c.
+    """
+    full = tuple(sorted(eq.full_coefficients()))
+    offset = eq.norm1 * N
+    minus, plus = _drop(full, -1, -1), _drop(full, 1, -1)
+    keys, updates = _sum_bitset_plan([minus, plus])
+    empty = dict.fromkeys(keys, 0)
+    empty[()] = 1 << offset
+
+    def conflicts(D: dict):
+        below, above = D[minus], D[plus]
+        return lambda u: below >> (offset + u) | above >> (offset - u)
+
+    return empty, updates, conflicts
+
+
+def _clique_cover(avail: int, need: int, conflicts) -> int:
+    """How many cliques a greedy cover of the vertex mask `avail` takes,
+    counted up to `need`.  `conflicts(u)` is a mask holding every vertex
+    adjacent to u; each clique starts at the lowest vertex left and takes
+    the lowest vertex adjacent to all it holds until none is."""
+    cliques = 0
+    while avail and cliques < need:
+        low = avail & -avail
+        avail ^= low
+        join = avail & conflicts(low.bit_length() - 1)
+        while join:
+            low = join & -join
+            avail ^= low
+            join = (join ^ low) & conflicts(low.bit_length() - 1)
+        cliques += 1
+    return cliques
+
+
 def exact_max_solution_free(
     N: int,
     eq: Equation,
@@ -154,6 +198,18 @@ def exact_max_solution_free(
     reach the target.  The first set reaching it ends the row; an exhausted
     row has R(v) = R(v-1).  If the node budget runs out, the last settled
     row's witness is returned with exact=False.
+
+    Two cuts spare exhausted rows and move no first hit.  Reflection: x ->
+    v + 1 - x maps the row's free sets onto themselves, so once the second
+    member w joins, the candidates above v + 1 - w are dropped; the
+    lexicographically first set of the target size obeys this, since its
+    mirror would come earlier.  Clique cover, when every coefficient is
+    +-1: each node keeps the sum bitsets of its chosen set, which give each
+    candidate's pair conflicts (`_unit_sums`), and a node still needing
+    more than one value is pruned when a greedy cover of its candidates by
+    conflict cliques takes fewer cliques than it needs, since each clique
+    holds at most one more member.  Mixed coefficients would need a bit
+    test per conflict pair, which costs more than the nodes it saves.
 
     The hypergraph's edges are ordered by their largest vertex once, and
     row v files the triggers of the edges topped by v, from one numpy pass
@@ -184,19 +240,24 @@ def exact_max_solution_free(
     # A new entry holds one of these masks itself, not a copy of it.
     bit = [1 << u for u in range(N + 1)]
     rows = [tuple(range(1, m + 1)) for m in range(1, min(N, n_rest + 1) + 1)]
+    unit = set(eq.a) <= {-1, 1}
+    if unit:
+        empty, updates, conflicts = _unit_sums(eq, N)
     nodes = 0
     exact = True
     target = 0
     cap: list[int] = []
 
-    def rec(avail: int, levels: list[list[int]]) -> int:
+    def rec(avail: int, levels: list[list[int]], D: dict | None) -> int:
         # levels[j] holds the masks of the (j+1)-subsets of the chosen set,
-        # so levels[0] holds its vertices.
+        # so levels[0] holds its vertices; D holds its sum bitsets, or None.
         nonlocal nodes
         nodes += 1
         if nodes > budget:
             raise _OutOfNodes
         need = target - len(levels[0])
+        if D is not None and need > 1 and _clique_cover(avail, need, conflicts(D)) < need:
+            return 0
         while avail:
             low = avail & -avail
             w = low.bit_length() - 1
@@ -215,7 +276,12 @@ def exact_max_solution_free(
             grown = [[*levels[0], low]]
             for j in range(1, n_rest):
                 grown.append([*levels[j], *map(add, levels[j - 1])])
-            hit = rec(avail & ~blocked, grown)
+            child = avail & ~blocked
+            if len(levels[0]) == 2:
+                # Reflection x -> v + 1 - x: the gap after 1 is no larger
+                # than the gap before v.
+                child &= (1 << (v + 2 - w)) - 1
+            hit = rec(child, grown, D and _grow_sums(D, updates, w))
             if hit:
                 return hit
         return 0
@@ -243,7 +309,8 @@ def exact_max_solution_free(
             else:
                 cap = [0, 0] + [len(rows[v - w]) - 1 for w in range(2, v)]
                 levels = [[2, bit_v], [2 | bit_v]] + [[] for _ in range(n_rest - 2)]
-                hit = rec(bit_v - 4, levels)
+                D = _grow_sums(_grow_sums(empty, updates, 1), updates, v) if unit else None
+                hit = rec(bit_v - 4, levels, D)
                 found = bit_positions(hit) if hit else None
             if found and (len(found) != target or not is_solution_free(make_set(found, v), eq)):
                 raise InvariantViolation(

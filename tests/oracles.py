@@ -94,6 +94,33 @@ def brute_edges(N: int, full_coeffs):
     ]
 
 
+def brute_max_joining(S, candidates, full_coeffs):
+    """Power-set sweep of the candidates: the most of them that can join S
+    with no forbidden subset in the union."""
+    values = sorted(set(S) | set(candidates))
+    bit = {v: 1 << i for i, v in enumerate(values)}
+    edges = [
+        sum(bit[v] for v in e)
+        for e in itertools.combinations(values, len(full_coeffs))
+        if subset_solves_somehow(e, full_coeffs)
+    ]
+    base = sum(bit[v] for v in S)
+    best = 0
+    for pick in range(1 << len(candidates)):
+        mask = base | sum(bit[v] for i, v in enumerate(candidates) if pick >> i & 1)
+        if not any(mask & e == e for e in edges):
+            best = max(best, pick.bit_count())
+    return best
+
+
+def brute_pair_conflict(S, u, b, full_coeffs) -> bool:
+    """Whether S plus u and b has a forbidden subset holding both."""
+    return any(
+        subset_solves_somehow((u, b) + rest, full_coeffs)
+        for rest in itertools.combinations(S, len(full_coeffs) - 2)
+    )
+
+
 def brute_sumset(A, B):
     return sorted({a + b for a in A for b in B})
 

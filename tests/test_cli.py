@@ -112,7 +112,7 @@ def test_search_exact(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["size"] == 5 and data["exact"] is True
-    assert data["nodes_explored"] == 97
+    assert data["nodes_explored"] == 30
     assert "time_ms" not in data
 
     code, out, _ = run_cli(capsys, ["search", "exact", "--eq", "1,1", "--N", "12", "--timing"])
@@ -232,6 +232,31 @@ def test_fit_headerless_and_bad_rows(capsys, tmp_path):
     bad.write_text("N,size\n4,two\n9,3\n25,5\n", encoding="utf-8")
     code, _, err = run_cli(capsys, ["fit", "--points", str(bad)])
     assert code == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("rows", ["10,4.5\n20,6\n", "10,4\n20,6.5\n"], ids=["first", "second"])
+def test_fit_bad_row_exits_2_wherever_it_stands(capsys, tmp_path, rows):
+    # The first row is a header only when neither of its first two cells
+    # is a number, so a bad first data row is refused like a later one.
+    p = tmp_path / "points.csv"
+    p.write_text(rows + "40,9\n80,12\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, ["fit", "--points", str(p)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad points row") and err.count("\n") == 1
+
+
+def test_closed_stdout_exits_141_quietly():
+    # The reader takes one line and closes the pipe, as `| head -1` does;
+    # the 65,535 members of this digit set fill far more than a pipe holds.
+    argv = ["construct", "ruzsa", "--d", "2", "--k", "2", "--N", str(10**14)]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "symfree", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    assert json.loads(proc.stdout.readline())["size"] == 65535
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_fit_takes_sizes_past_int64(capsys, tmp_path):
@@ -490,6 +515,7 @@ HOSTILE_POINT_FILES = {
     "points.csv": "N,size\n10,4\n20,6\n40,9\n",
     "empty.csv": "",
     "floats.csv": "10,4\n20,6.5\n40,9\n80,12\n",
+    "float_first.csv": "10,4.5\n20,6\n40,9\n80,12\n",
     "zero.csv": "0,0\n10,4\n20,6\n40,9\n",
     "negative.csv": "-10,4\n20,-6\n40,9\n80,12\n",
     "huge.csv": f"{10**400},4\n20,6\n40,9\n",

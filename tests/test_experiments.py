@@ -51,7 +51,7 @@ def test_rn_table_witnesses_are_solution_free():
 
 
 def test_rn_table_budget_degrades_to_heuristic_rows():
-    rows = run_rn_table(EQ11, 14, node_budget=50, trials=5, seed=0)
+    rows = run_rn_table(EQ11, 14, node_budget=15, trials=5, seed=0)
     flags = [r.exact for r in rows]
     assert True in flags and False in flags
     # the search stops at the first row it cannot settle, so exactness

@@ -16,6 +16,8 @@ from oracles import (
     brute_difference,
     brute_edges,
     brute_max_free_sizes,
+    brute_max_joining,
+    brute_pair_conflict,
     brute_rep,
     brute_sumset,
     has_distinct_solution,
@@ -45,7 +47,8 @@ from symfree.counting import (
     _search_witness,
 )
 from symfree.model import scale
-from symfree.search import build_hypergraph, exact_max_solution_free
+from symfree.construct import _grow_sums
+from symfree.search import _clique_cover, _unit_sums, build_hypergraph, exact_max_solution_free
 
 _HUGE = ((1 << 62) - 1, 1 << 62, (1 << 62) + 1, -(1 << 62))
 
@@ -109,9 +112,14 @@ def test_solution_counts_match_oracle(case):
     assert count_distinct_solutions(A, eq, "inclusion_exclusion") == distinct
 
 
+# Only equations whose coefficients are all +-1 run the clique-cover bound.
+unit_equations = st.lists(st.sampled_from((1, -1)), min_size=2, max_size=3).map(
+    lambda a: Equation(tuple(a))
+)
+
 # The oracle's permutation scan costs (2k)! per 2k-subset, so k = 3 sweeps
 # stop at N = 8.
-equations_with_n = small_equations.flatmap(
+equations_with_n = (unit_equations | small_equations).flatmap(
     lambda eq: st.tuples(st.just(eq), st.integers(1, 10 if eq.k == 2 else 8))
 )
 
@@ -143,6 +151,49 @@ def test_one_added_value_matches_oracle(eq, candidates, pick):
     A = make_set(kept, 16)
     expected = has_distinct_solution(sorted(kept + [value]), full)
     assert has_distinct_solution_using(A, eq, value) == expected
+
+
+@given(unit_equations, st.lists(st.integers(1, 14), min_size=2, max_size=14, unique=True))
+def test_clique_cover_bounds_the_free_extensions(eq, values):
+    # A free set S kept greedily from the drawn values, and some of the
+    # values it did not keep as the candidates.
+    full = eq.full_coefficients()
+    S, rest = [], []
+    for v in values:
+        if len(S) < (6 if eq.k == 2 else 4) and not has_distinct_solution(S + [v], full):
+            S.append(v)
+        else:
+            rest.append(v)
+    candidates = rest[: 7 if eq.k == 2 else 4]
+    D, updates, conflicts = _unit_sums(eq, 14)
+    for s in S:
+        D = _grow_sums(D, updates, s)
+    conflict = conflicts(D)
+    for u in candidates:
+        for b in candidates:
+            if b != u:
+                assert bool(conflict(u) >> b & 1) == brute_pair_conflict(S, u, b, full)
+    mask = sum(1 << u for u in candidates)
+    cliques = _clique_cover(mask, len(candidates) + 1, conflict)
+    assert brute_max_joining(S, candidates, full) <= cliques <= len(candidates)
+    # Counting stops once it reaches the need.
+    assert _clique_cover(mask, 1, conflict) == min(1, cliques)
+
+
+@given(st.integers(1, 10), st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9))))
+def test_clique_cover_is_at_least_the_independence_number(n, pairs):
+    adjacent = [0] * n
+    for u, b in pairs:
+        if u != b and max(u, b) < n:
+            adjacent[u] |= 1 << b
+            adjacent[b] |= 1 << u
+    independent = max(
+        pick.bit_count()
+        for pick in range(1 << n)
+        if not any(pick >> u & 1 and pick & adjacent[u] for u in range(n))
+    )
+    cliques = _clique_cover((1 << n) - 1, n + 1, adjacent.__getitem__)
+    assert independent <= cliques <= n
 
 
 def _mostly(near, far):

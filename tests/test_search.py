@@ -164,15 +164,16 @@ def test_exact_max_trivial_below_2k():
 
 
 def test_exact_max_node_counts_pinned():
-    # (size, nodes explored, edges): the branching order fixes the node count
+    # (size, nodes explored, edges): the branching order and the cuts fix
+    # the node count
     expected = {
-        ("1,1", 24): (7, 2859, 946),
-        ("1,2,2", 14): (6, 496, 2532),
-        ("1,-2", 20): (7, 356, 1128),
-        ("2,-1,3", 11): (5, 209, 462),
+        ("1,1", 24): (7, 825, 946),
+        ("1,2,2", 14): (6, 341, 2532),
+        ("1,-2", 20): (7, 322, 1128),
+        ("2,-1,3", 11): (5, 141, 462),
         # The last row whose vertex masks fit uint64, and Python-int masks.
-        ("1,16", 63): (31, 171123, 5345),
-        ("1,16", 66): (32, 172211, 6284),
+        ("1,16", 63): (31, 133944, 5345),
+        ("1,16", 66): (32, 135027, 6284),
     }
     for (eq_text, n), want in expected.items():
         eq = parse_equation(eq_text)
@@ -197,8 +198,13 @@ def test_exact_max_leaves_no_reference_cycles():
 def test_exact_max_rows_pinned():
     # R(N) of every row, settled in one walk within criterion 7's budget
     expected = {
-        ("1,1", 40): [1, 2, 3, 3, 4, 4, 4, 5, 5, 5, 5, 5, 6, 6, 6, 6, 6, 6, 7, 7,
-                      7, 7, 7, 7, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 9, 9, 9, 9, 9, 9],
+        # The jump points: 9 at 35 and 10 at 46.
+        ("1,1", 50): [1, 2, 3, 3, 4, 4, 4, 5, 5, 5, 5, 5, 6, 6, 6, 6, 6, 6, 7, 7,
+                      7, 7, 7, 7, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 9, 9, 9, 9, 9, 9,
+                      9, 9, 9, 9, 9, 10, 10, 10, 10, 10],
+        # 7 at 11, 8 at 18 and 9 at 29.
+        ("1,1,1", 32): [1, 2, 3, 4, 5, 6, 6, 6, 6, 6, 7, 7, 7, 7, 7, 7, 7, 8, 8, 8,
+                        8, 8, 8, 8, 8, 8, 8, 8, 9, 9, 9, 9],
         ("1,2,2", 18): [1, 2, 3, 4, 5, 5, 5, 6, 6, 6, 6, 6, 6, 6, 6, 6, 7, 7],
     }
     for (eq_text, n), sizes in expected.items():
