@@ -162,22 +162,24 @@ def _unit_sums(eq: Equation, N: int):
     return empty, updates, conflicts
 
 
-def _clique_cover(avail: int, need: int, conflicts) -> int:
-    """How many cliques a greedy cover of the vertex mask `avail` takes,
-    counted up to `need`.  `conflicts(u)` is a mask holding every vertex
-    adjacent to u; each clique starts at the lowest vertex left and takes
-    the lowest vertex adjacent to all it holds until none is."""
-    cliques = 0
+def _clique_cover(avail: int, need: int, conflicts) -> tuple[int, int]:
+    """A greedy cover of the vertex mask `avail` by cliques, counted up to
+    `need`: the number of cliques and the start of the last one.
+    `conflicts(u)` is a mask holding every vertex adjacent to u.  Each clique
+    starts at the highest vertex left and takes the highest vertex adjacent
+    to all it holds until none is, so its start is its largest member and
+    the vertices from w up lie in the cliques that start at w or above."""
+    cliques = start = 0
     while avail and cliques < need:
-        low = avail & -avail
-        avail ^= low
-        join = avail & conflicts(low.bit_length() - 1)
+        start = avail.bit_length() - 1
+        avail ^= 1 << start
+        join = avail & conflicts(start)
         while join:
-            low = join & -join
-            avail ^= low
-            join = (join ^ low) & conflicts(low.bit_length() - 1)
+            u = join.bit_length() - 1
+            avail ^= 1 << u
+            join &= conflicts(u) & avail
         cliques += 1
-    return cliques
+    return cliques, start
 
 
 def exact_max_solution_free(
@@ -205,11 +207,14 @@ def exact_max_solution_free(
     lexicographically first set of the target size obeys this, since its
     mirror would come earlier.  Clique cover, when every coefficient is
     +-1: each node keeps the sum bitsets of its chosen set, which give each
-    candidate's pair conflicts (`_unit_sums`), and a node still needing
-    more than one value is pruned when a greedy cover of its candidates by
-    conflict cliques takes fewer cliques than it needs, since each clique
-    holds at most one more member.  Mixed coefficients would need a bit
-    test per conflict pair, which costs more than the nodes it saves.
+    candidate's pair conflicts (`_unit_sums`).  Each clique of conflicts
+    holds at most one more member, so a node still needing more than one
+    value is pruned when a greedy cover of its candidates, built from the
+    highest down, takes fewer cliques than it needs.  Otherwise the start of
+    its last clique is the node's branching limit: the candidates above it
+    lie in fewer cliques than the node needs, so no include above it can
+    reach the target.  Mixed coefficients would need a bit test per
+    conflict pair, which costs more than the nodes it saves.
 
     The hypergraph's edges are ordered by their largest vertex once, and
     row v files the triggers of the edges topped by v, from one numpy pass
@@ -256,12 +261,15 @@ def exact_max_solution_free(
         if nodes > budget:
             raise _OutOfNodes
         need = target - len(levels[0])
-        if D is not None and need > 1 and _clique_cover(avail, need, conflicts(D)) < need:
-            return 0
+        limit = v
+        if D is not None and need > 1:
+            cliques, limit = _clique_cover(avail, need, conflicts(D))
+            if cliques < need:
+                return 0
         while avail:
             low = avail & -avail
             w = low.bit_length() - 1
-            if cap[w] < need or avail.bit_count() < need:
+            if w > limit or cap[w] < need or avail.bit_count() < need:
                 return 0
             if need == 1:
                 return sum(levels[0]) | low

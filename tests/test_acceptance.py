@@ -219,7 +219,7 @@ CLI_PINS = [
     ("verify solution-free --eq 1,1 --set {set}", 0,
      "d49c854b920836c7285c9ed11d41dfabc2e7a356f186b2ff2b4c98acc7eaf1c8"),
     ("search exact --eq 1,1 --N 12", 0,
-     "8458ab3afc662b7494364b90b22230fae8cba34adf5a8337bbaa284c6d076323"),
+     "70011a1ade402a8ece6cb22e8fe0a6b8b6779ed313aacd1b802a7b5b981a8121"),
     ("search heuristic --eq 1,1 --N 14 --trials 8 --seed 5", 0,
      "cbe4eeedb061b6d88edf34fa1ae938d1c33080869cdf7e76a6dc0c82a1efdf43"),
     ("check inequalities --trials 60 --seed 9", 0,

@@ -112,7 +112,7 @@ def test_search_exact(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["size"] == 5 and data["exact"] is True
-    assert data["nodes_explored"] == 30
+    assert data["nodes_explored"] == 26
     assert "time_ms" not in data
 
     code, out, _ = run_cli(capsys, ["search", "exact", "--eq", "1,1", "--N", "12", "--timing"])

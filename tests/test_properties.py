@@ -174,10 +174,19 @@ def test_clique_cover_bounds_the_free_extensions(eq, values):
             if b != u:
                 assert bool(conflict(u) >> b & 1) == brute_pair_conflict(S, u, b, full)
     mask = sum(1 << u for u in candidates)
-    cliques = _clique_cover(mask, len(candidates) + 1, conflict)
+    cliques, _ = _clique_cover(mask, len(candidates) + 1, conflict)
     assert brute_max_joining(S, candidates, full) <= cliques <= len(candidates)
     # Counting stops once it reaches the need.
-    assert _clique_cover(mask, 1, conflict) == min(1, cliques)
+    assert _clique_cover(mask, 1, conflict)[0] == min(1, cliques)
+    # The branching limit: fewer than `need` of the candidates from any w
+    # above the start of the need-th clique can join S.
+    for need in range(1, cliques + 1):
+        counted, limit = _clique_cover(mask, need, conflict)
+        assert counted == need and limit in candidates
+        for w in candidates:
+            if w > limit:
+                above = [c for c in candidates if c >= w]
+                assert brute_max_joining(S, above, full) < need
 
 
 @given(st.integers(1, 10), st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9))))
@@ -187,13 +196,19 @@ def test_clique_cover_is_at_least_the_independence_number(n, pairs):
         if u != b and max(u, b) < n:
             adjacent[u] |= 1 << b
             adjacent[b] |= 1 << u
-    independent = max(
-        pick.bit_count()
+    free = [
+        pick
         for pick in range(1 << n)
         if not any(pick >> u & 1 and pick & adjacent[u] for u in range(n))
-    )
-    cliques = _clique_cover((1 << n) - 1, n + 1, adjacent.__getitem__)
+    ]
+    independent = max(pick.bit_count() for pick in free)
+    cliques, _ = _clique_cover((1 << n) - 1, n + 1, adjacent.__getitem__)
     assert independent <= cliques <= n
+    # No independent set above the start of the need-th clique has `need`
+    # vertices.
+    for need in range(1, cliques + 1):
+        _, limit = _clique_cover((1 << n) - 1, need, adjacent.__getitem__)
+        assert max(pick.bit_count() for pick in free if not pick & (2 << limit) - 1) < need
 
 
 def _mostly(near, far):

@@ -164,22 +164,38 @@ def test_exact_max_trivial_below_2k():
 
 
 def test_exact_max_node_counts_pinned():
-    # (size, nodes explored, edges): the branching order and the cuts fix
-    # the node count
+    # (size, nodes explored): the branching order and the cuts fix the node
+    # count
     expected = {
-        ("1,1", 24): (7, 825, 946),
-        ("1,2,2", 14): (6, 341, 2532),
-        ("1,-2", 20): (7, 322, 1128),
-        ("2,-1,3", 11): (5, 141, 462),
+        ("1,1", 24): (7, 394),
+        ("1,2,2", 14): (6, 341),
+        ("1,-2", 20): (7, 322),
+        ("2,-1,3", 11): (5, 141),
         # The last row whose vertex masks fit uint64, and Python-int masks.
-        ("1,16", 63): (31, 133944, 5345),
-        ("1,16", 66): (32, 135027, 6284),
+        ("1,16", 63): (31, 133944),
+        ("1,16", 66): (32, 135027),
+        # Where the clique cover's branching limit saves most: the end of
+        # the 1,1 benchmark table, and the k = 3 rows pinned below.
+        ("1,1", 40): (9, 7589),
+        ("1,1,1", 32): (9, 14022),
     }
     for (eq_text, n), want in expected.items():
-        eq = parse_equation(eq_text)
-        res = exact_max_solution_free(n, eq)
+        res = exact_max_solution_free(n, parse_equation(eq_text))
         assert res.exact
-        assert (res.size, res.nodes_explored, len(build_hypergraph(n, eq).edges)) == want
+        assert (res.size, res.nodes_explored) == want
+
+
+def test_hypergraph_edge_counts_pinned():
+    expected = {
+        ("1,1", 24): 946,
+        ("1,2,2", 14): 2532,
+        ("1,-2", 20): 1128,
+        ("2,-1,3", 11): 462,
+        ("1,16", 63): 5345,
+        ("1,16", 66): 6284,
+    }
+    for (eq_text, n), want in expected.items():
+        assert len(build_hypergraph(n, parse_equation(eq_text)).edges) == want
 
 
 def test_exact_max_leaves_no_reference_cycles():
