@@ -141,17 +141,21 @@ def _unit_sums(eq: Equation, N: int):
     sets in [1, N], read from sum bitsets (`construct._sum_bitset_plan`).
 
     Returns the bitsets of the empty set, their update list for
-    `construct._grow_sums`, and a function taking the bitsets of a set S to
-    its conflict function:
+    `construct._grow_sums`, the part of that list which grows the two
+    bitsets the conflicts read, and a function taking the bitsets of a set
+    S to its conflict function:
     u -> a mask holding each b for which S + {u, b} has a solution using
     both.  Negating a solution puts b at a -1 slot, and u sits at some
     c = +-1, so b = r - c*u for a sum r of the other slots over S, i.e. for
-    r in D[F - {-c, -1}]: one shift per sign of c.
+    r in D[F - {-c, -1}]: one shift per sign of c.  Every update reads only
+    the old bitsets, so growing by the partial list alone gives the same
+    conflicts as growing by the full one.
     """
     full = tuple(sorted(eq.full_coefficients()))
     offset = eq.norm1 * N
     minus, plus = _drop(full, -1, -1), _drop(full, 1, -1)
     keys, updates = _sum_bitset_plan([minus, plus])
+    reads = [(C, parts) for C, parts in updates if C in (minus, plus)]
     empty = dict.fromkeys(keys, 0)
     empty[()] = 1 << offset
 
@@ -159,7 +163,7 @@ def _unit_sums(eq: Equation, N: int):
         below, above = D[minus], D[plus]
         return lambda u: below >> (offset + u) | above >> (offset - u)
 
-    return empty, updates, conflicts
+    return empty, updates, reads, conflicts
 
 
 def _clique_cover(avail: int, need: int, conflicts) -> tuple[int, int]:
@@ -168,17 +172,27 @@ def _clique_cover(avail: int, need: int, conflicts) -> tuple[int, int]:
     `conflicts(u)` is a mask holding every vertex adjacent to u.  Each clique
     starts at the highest vertex left and takes the highest vertex adjacent
     to all it holds until none is, so its start is its largest member and
-    the vertices from w up lie in the cliques that start at w or above."""
+    the vertices from w up lie in the cliques that start at w or above.
+
+    Only reads that can change the answer are made: none for a start with
+    no vertex left below it, none for a clique's last member, since the
+    join holds nothing else, and none for the `need`-th clique, whose start
+    is returned before it grows.
+    """
     cliques = start = 0
     while avail and cliques < need:
         start = avail.bit_length() - 1
+        cliques += 1
+        if cliques == need:
+            break
         avail ^= 1 << start
-        join = avail & conflicts(start)
+        join = avail and avail & conflicts(start)
         while join:
             u = join.bit_length() - 1
             avail ^= 1 << u
-            join &= conflicts(u) & avail
-        cliques += 1
+            join ^= 1 << u
+            if join:
+                join &= conflicts(u)
     return cliques, start
 
 
@@ -206,15 +220,15 @@ def exact_max_solution_free(
     member w joins, the candidates above v + 1 - w are dropped; the
     lexicographically first set of the target size obeys this, since its
     mirror would come earlier.  Clique cover, when every coefficient is
-    +-1: each node keeps the sum bitsets of its chosen set, which give each
-    candidate's pair conflicts (`_unit_sums`).  Each clique of conflicts
-    holds at most one more member, so a node still needing more than one
-    value is pruned when a greedy cover of its candidates, built from the
-    highest down, takes fewer cliques than it needs.  Otherwise the start of
-    its last clique is the node's branching limit: the candidates above it
-    lie in fewer cliques than the node needs, so no include above it can
-    reach the target.  Mixed coefficients would need a bit test per
-    conflict pair, which costs more than the nodes it saves.
+    +-1: the sum bitsets of a node's chosen set give each candidate's pair
+    conflicts (`_unit_sums`).  Each clique of conflicts holds at most one
+    more member, so a node still needing more than one value is pruned
+    when a greedy cover of its candidates, built from the highest down,
+    takes fewer cliques than it needs.  Otherwise the start of its last
+    clique is the node's branching limit: the candidates above it lie in
+    fewer cliques than the node needs, so no include above it can reach
+    the target.  Mixed coefficients would need a bit test per conflict
+    pair, which costs more than the nodes it saves.
 
     The hypergraph's edges are ordered by their largest vertex once, and
     row v files the triggers of the edges topped by v, from one numpy pass
@@ -222,6 +236,14 @@ def exact_max_solution_free(
     by the node budget files nothing for the rows it does not reach.
     Entries outlive their row: removing them costs more than keeping them,
     and none can fire where it does not hold (see `trig` below).
+
+    A node builds its state only once its bounds pass.  It is entered with
+    its parent's state (the subset masks the triggers are looked up by, and
+    the sum bitsets) and its new member.  It first tests its lowest
+    candidate against the candidate count and the Russian-doll cap, then
+    covers its candidates from the two bitsets the conflicts read, grown by
+    the new member alone.  Only a node that survives both grows its subset
+    masks and every bitset; most children the cover prunes never do.
     """
     t0 = time.perf_counter()
     n_rest = 2 * eq.k - 2
@@ -246,50 +268,58 @@ def exact_max_solution_free(
     bit = [1 << u for u in range(N + 1)]
     rows = [tuple(range(1, m + 1)) for m in range(1, min(N, n_rest + 1) + 1)]
     unit = set(eq.a) <= {-1, 1}
+    D1 = None
     if unit:
-        empty, updates, conflicts = _unit_sums(eq, N)
+        empty, updates, reads, conflicts = _unit_sums(eq, N)
+        D1 = _grow_sums(empty, updates, 1)
     nodes = 0
     exact = True
     target = 0
     cap: list[int] = []
 
-    def rec(avail: int, levels: list[list[int]], D: dict | None) -> int:
-        # levels[j] holds the masks of the (j+1)-subsets of the chosen set,
-        # so levels[0] holds its vertices; D holds its sum bitsets, or None.
+    def rec(avail: int, levels: list[list[int]], D: dict | None, low: int) -> int:
+        # The node whose chosen set is the parent's plus `low`, avail its
+        # candidates.  levels[j] holds the masks of the (j+1)-subsets of the
+        # parent's set, so levels[0] holds its vertices; D holds its sum
+        # bitsets, or None.  The node grows both only once its bounds pass.
         nonlocal nodes
         nodes += 1
         if nodes > budget:
             raise _OutOfNodes
-        need = target - len(levels[0])
+        need = target - len(levels[0]) - 1
+        if avail.bit_count() < need or cap[(avail & -avail).bit_length() - 1] < need:
+            return 0
+        if need == 1:
+            return sum(levels[0]) | low | avail & -avail
         limit = v
-        if D is not None and need > 1:
-            cliques, limit = _clique_cover(avail, need, conflicts(D))
+        if D is not None:
+            x = low.bit_length() - 1
+            cliques, limit = _clique_cover(avail, need, conflicts(_grow_sums(D, reads, x)))
             if cliques < need:
                 return 0
+            D = _grow_sums(D, updates, x)
+        add = low.__or__
+        grown = [[*levels[0], low]]
+        for j in range(1, n_rest):
+            grown.append([*levels[j], *map(add, levels[j - 1])])
         while avail:
             low = avail & -avail
             w = low.bit_length() - 1
             if w > limit or cap[w] < need or avail.bit_count() < need:
                 return 0
-            if need == 1:
-                return sum(levels[0]) | low
             avail ^= low
             get = trig[w].get
             blocked = 0
-            for rest_mask in levels[-1]:
+            for rest_mask in grown[-1]:
                 bits = get(rest_mask)
                 if bits:
                     blocked |= bits
-            add = low.__or__
-            grown = [[*levels[0], low]]
-            for j in range(1, n_rest):
-                grown.append([*levels[j], *map(add, levels[j - 1])])
             child = avail & ~blocked
-            if len(levels[0]) == 2:
+            if len(grown[0]) == 2:
                 # Reflection x -> v + 1 - x: the gap after 1 is no larger
                 # than the gap before v.
                 child &= (1 << (v + 2 - w)) - 1
-            hit = rec(child, grown, D and _grow_sums(D, updates, w))
+            hit = rec(child, grown, D, low)
             if hit:
                 return hit
         return 0
@@ -316,9 +346,9 @@ def exact_max_solution_free(
                 found = prev + (v,)
             else:
                 cap = [0, 0] + [len(rows[v - w]) - 1 for w in range(2, v)]
-                levels = [[2, bit_v], [2 | bit_v]] + [[] for _ in range(n_rest - 2)]
-                D = _grow_sums(_grow_sums(empty, updates, 1), updates, v) if unit else None
-                hit = rec(bit_v - 4, levels, D)
+                # The root: {1, v}, grown from the state of {1}.
+                levels = [[2]] + [[] for _ in range(n_rest - 1)]
+                hit = rec(bit_v - 4, levels, D1, bit_v)
                 found = bit_positions(hit) if hit else None
             if found and (len(found) != target or not is_solution_free(make_set(found, v), eq)):
                 raise InvariantViolation(

@@ -183,7 +183,8 @@ def test_digit_set_length_differs_from_count(monkeypatch):
             ruzsa_digit_set(RuzsaParams(2, 3, 1728))
 
 
-# Bytes of peak memory per budget unit that every digit-set build stays under.
+# Bytes of peak memory per budget unit that every digit-set build, and every
+# greedy scan from N = 500 on, stays under.
 BYTES_PER_UNIT = 8
 
 
@@ -342,3 +343,30 @@ def test_greedy_budget_checked_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize("eq_text", ["1,1", "1,-1", "1,1,1", "1,2,2", "3,-5"])
+@pytest.mark.parametrize("N", [500, 2000])
+def test_greedy_peak_bytes_per_unit(eq_text, N, monkeypatch):
+    # 0.3-2.5 bytes a unit from N = 500 on; at N = 20 the fixed overhead of
+    # the plan and the set alone passes 20.
+    made = []
+
+    class Recorded(construct_mod.WorkBudget):
+        __slots__ = ()
+
+        def __init__(self, limit):
+            super().__init__(limit)
+            made.append(self)
+
+    monkeypatch.setattr(construct_mod, "WorkBudget", Recorded)
+    for order in ("ascending", "shuffle"):
+        made.clear()
+        tracemalloc.start()
+        try:
+            greedy_solution_free(N, parse_equation(eq_text), order=order, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        units = sum(wb.used for wb in made)
+        assert peak < BYTES_PER_UNIT * units, (order, peak / units)

@@ -165,7 +165,7 @@ def test_clique_cover_bounds_the_free_extensions(eq, values):
         else:
             rest.append(v)
     candidates = rest[: 7 if eq.k == 2 else 4]
-    D, updates, conflicts = _unit_sums(eq, 14)
+    D, updates, _, conflicts = _unit_sums(eq, 14)
     for s in S:
         D = _grow_sums(D, updates, s)
     conflict = conflicts(D)
@@ -189,13 +189,63 @@ def test_clique_cover_bounds_the_free_extensions(eq, values):
                 assert brute_max_joining(S, above, full) < need
 
 
-@given(st.integers(1, 10), st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9))))
-def test_clique_cover_is_at_least_the_independence_number(n, pairs):
+@given(unit_equations, st.sets(st.integers(1, 14), max_size=8), st.integers(1, 14))
+def test_lazily_grown_conflicts_match_the_full_growth(eq, S, x):
+    # The two bitsets the conflicts read, grown by x alone, give the same
+    # conflicts as every bitset grown.
+    D, updates, reads, conflicts = _unit_sums(eq, 14)
+    for s in S - {x}:
+        D = _grow_sums(D, updates, s)
+    lazy = conflicts(_grow_sums(D, reads, x))
+    full = conflicts(_grow_sums(D, updates, x))
+    for u in range(1, 15):
+        assert lazy(u) == full(u)
+
+
+def _plain_greedy_cover(avail, need, conflicts):
+    """The cover of `_clique_cover`, reading every member's conflicts."""
+    cliques = start = 0
+    while avail and cliques < need:
+        start = avail.bit_length() - 1
+        avail ^= 1 << start
+        join = avail & conflicts(start)
+        while join:
+            u = join.bit_length() - 1
+            avail ^= 1 << u
+            join &= conflicts(u) & avail
+        cliques += 1
+    return cliques, start
+
+
+def _random_graph(n, pairs):
     adjacent = [0] * n
     for u, b in pairs:
         if u != b and max(u, b) < n:
             adjacent[u] |= 1 << b
             adjacent[b] |= 1 << u
+    return adjacent
+
+
+graph_edges = st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9)))
+
+
+@given(st.integers(0, 10), graph_edges, st.integers(0, 1023))
+def test_clique_cover_matches_the_plain_greedy(n, pairs, pick):
+    # Same answer as the greedy that reads every member's conflicts, for
+    # every need, on the whole vertex set and on a drawn part of it.
+    adjacent = _random_graph(n, pairs)
+    for avail in ((1 << n) - 1, pick & ((1 << n) - 1)):
+        for need in range(n + 2):
+            reads = [[], []]
+            got = _clique_cover(avail, need, lambda u: reads[0].append(u) or adjacent[u])
+            want = _plain_greedy_cover(avail, need, lambda u: reads[1].append(u) or adjacent[u])
+            assert got == want
+            assert len(reads[0]) <= len(reads[1])
+
+
+@given(st.integers(1, 10), graph_edges)
+def test_clique_cover_is_at_least_the_independence_number(n, pairs):
+    adjacent = _random_graph(n, pairs)
     free = [
         pick
         for pick in range(1 << n)

@@ -178,6 +178,10 @@ def test_exact_max_node_counts_pinned():
         # the 1,1 benchmark table, and the k = 3 rows pinned below.
         ("1,1", 40): (9, 7589),
         ("1,1,1", 32): (9, 14022),
+        # Signed +-1 equations: their full coefficients are those of 1,1
+        # and 1,1,1, so they take the same cover from signed input.
+        ("1,-1", 30): (8, 992),
+        ("1,1,-1", 30): (9, 10504),
     }
     for (eq_text, n), want in expected.items():
         res = exact_max_solution_free(n, parse_equation(eq_text))
