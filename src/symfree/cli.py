@@ -16,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from .construct import RuzsaParams, predicted_exponent, ruzsa_digit_set, ruzsa_equation
+from .construct import RuzsaParams, predicted_exponent, ruzsa_digit_set
 from .counting import (
     DEFAULT_BUDGET,
     count_all_solutions,
@@ -60,10 +60,6 @@ def _real(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj))
-
-
 def _load_set(path: str, n_override: int | None):
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -88,7 +84,7 @@ def _cmd_construct_ruzsa(args) -> int:
         "size": len(digit_set.elements),
         "predicted_exponent": _real(predicted_exponent(params.d, params.k)),
     }
-    _emit_json(header)
+    print(json.dumps(header))
     # One write per block of lines, each formatted by one %-operation: fast,
     # and the text is never built whole.
     elements = digit_set.elements
@@ -116,7 +112,7 @@ def _cmd_count(args) -> int:
         out["distinct"] = count_distinct_solutions(
             A, eq, method=args.method, budget=args.budget
         )
-    _emit_json(out)
+    print(json.dumps(out))
     return EXIT_OK
 
 
@@ -124,15 +120,14 @@ def _cmd_verify(args) -> int:
     eq = parse_equation(args.eq)
     A = _load_set(args.set, args.N)
     hit = find_distinct_solution(A, eq, budget=args.budget)
-    _emit_json(
-        {
-            "eq": eq.text(),
-            "N": A.domain_bound,
-            "size": len(A.elements),
-            "solution_free": hit is None,
-            "solution": list(hit) if hit is not None else None,
-        }
-    )
+    out = {
+        "eq": eq.text(),
+        "N": A.domain_bound,
+        "size": len(A.elements),
+        "solution_free": hit is None,
+        "solution": list(hit) if hit is not None else None,
+    }
+    print(json.dumps(out))
     return EXIT_OK
 
 
@@ -159,13 +154,13 @@ def _cmd_search(args) -> int:
         res = exact_max_solution_free(args.N, eq, **budget)
     else:
         res = random_restarts(args.N, eq, trials=args.trials, seed=args.seed, **budget)
-    _emit_json(_search_json(args, eq, res))
+    print(json.dumps(_search_json(args, eq, res)))
     return EXIT_OK
 
 
 def _cmd_check_inequalities(args) -> int:
     summary = run_inequality_trials(args.trials, args.seed)
-    _emit_json(summary)
+    print(json.dumps(summary))
     if summary["failures"]:
         print(
             f"error: {len(summary['failures'])} inequality check(s) failed",
@@ -193,7 +188,7 @@ def _cmd_check_bounds(args) -> int:
                 "upper_holds": rep.upper_holds,
             }
         )
-    _emit_json({"eq": eq.text(), "sets": out_rows})
+    print(json.dumps({"eq": eq.text(), "sets": out_rows}))
     return EXIT_OK
 
 
@@ -207,17 +202,16 @@ def _cmd_table_rn(args) -> int:
         seed=args.seed,
     )
     if args.json:
-        _emit_json(
-            [
-                {
-                    "N": r.N,
-                    "size": r.size,
-                    "exact": r.exact,
-                    "witness": list(r.witness),
-                }
-                for r in rows
-            ]
-        )
+        out = [
+            {
+                "N": r.N,
+                "size": r.size,
+                "exact": r.exact,
+                "witness": list(r.witness),
+            }
+            for r in rows
+        ]
+        print(json.dumps(out))
         return EXIT_OK
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["N", "size", "exact", "witness"])
@@ -264,14 +258,13 @@ def _read_points(path: str) -> list[tuple[int, int]]:
 
 def _cmd_fit(args) -> int:
     res = fit_exponent(_read_points(args.points))
-    _emit_json(
-        {
-            "slope": _real(res.slope),
-            "intercept": _real(res.intercept),
-            "r_squared": _real(res.r_squared),
-            "n_points": len(res.points),
-        }
-    )
+    out = {
+        "slope": _real(res.slope),
+        "intercept": _real(res.intercept),
+        "r_squared": _real(res.r_squared),
+        "n_points": len(res.points),
+    }
+    print(json.dumps(out))
     return EXIT_OK
 
 

@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .counting import _self_energy
 from .model import IntegerSet, ValidationError, bit_positions, scale

@@ -1,8 +1,8 @@
 """Independent brute-force oracles for the test suite.
 
 Everything here recomputes results from first principles (full tuple grids,
-permutation scans, power-set sweeps) without touching the library's
-convolution, partition, or branch-and-bound code paths.
+permutation scans and their meet in the middle, power-set sweeps) without
+touching the library's convolution, partition, or branch-and-bound code paths.
 """
 
 from __future__ import annotations
@@ -76,16 +76,41 @@ def brute_max_pair_sum_free(N: int):
     return best_size, best
 
 
-def subset_solves_somehow(values, full_coeffs) -> bool:
-    """Whether any permutation of the values zeroes the weighted sum."""
+def permutation_scan_solves(values, full_coeffs) -> bool:
+    """Whether any permutation of the values zeroes the weighted sum: the
+    reference for `subset_solves_somehow`."""
     for perm in itertools.permutations(values):
         if sum(c * v for c, v in zip(full_coeffs, perm)) == 0:
             return True
     return False
 
 
+def _ordered_sums(values, a):
+    return {sum(c * v for c, v in zip(a, perm)) for perm in itertools.permutations(values)}
+
+
+def subset_solves_somehow(values, full_coeffs) -> bool:
+    """Whether any permutation of the 2k values zeroes the weighted sum, for
+    full_coeffs = (a1, ..., ak, -a1, ..., -ak).
+
+    Meets in the middle: for each split of the values into halves L and R,
+    whether some ordering of L under a has the sum of some ordering of R.
+    Swapping L and R gives the same test, so the first value stays in L.
+    """
+    k = len(full_coeffs) // 2
+    a = full_coeffs[:k]
+    assert [-c for c in a] == list(full_coeffs[k:]), "not a symmetric equation"
+    first, *rest = values
+    for picks in itertools.combinations(range(len(rest)), k - 1):
+        left = [first] + [rest[i] for i in picks]
+        right = [v for i, v in enumerate(rest) if i not in picks]
+        if _ordered_sums(left, a) & _ordered_sums(right, a):
+            return True
+    return False
+
+
 def brute_edges(N: int, full_coeffs):
-    """All forbidden subsets of [1, N] by permutation scan."""
+    """All forbidden subsets of [1, N], each tested by `subset_solves_somehow`."""
     m = len(full_coeffs)
     return [
         subset

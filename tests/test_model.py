@@ -90,11 +90,23 @@ def test_integer_set_membership():
 
 def test_bit_positions_against_shift_scan():
     rng = random.Random(3)
+    offsets = (0, 7, -40, 1 << 70, -(1 << 70))
     masks = [0, 1, 2, 1 << 70, (1 << 130) - 1] + [rng.getrandbits(rng.randint(1, 300)) for _ in range(50)]
     for mask in masks:
-        for offset in (0, 7, -40):
+        for offset in offsets:
             expected = tuple(i + offset for i in range(mask.bit_length()) if mask >> i & 1)
             assert bit_positions(mask, offset) == expected
+    # Wide masks, sparse to dense, from drawn positions: a shift scan over
+    # 2^20 bits would be quadratic.
+    for width in (1 << 16, 1 << 20):
+        for n in (3, 300, 3000, 10**4):
+            positions = sorted(rng.sample(range(width), n))
+            raw = bytearray(width // 8)
+            for p in positions:
+                raw[p // 8] |= 1 << p % 8
+            mask = int.from_bytes(raw, "little")
+            for offset in offsets:
+                assert bit_positions(mask, offset) == tuple(p + offset for p in positions)
 
 
 def test_integer_set_rejects_unsorted_tuple():

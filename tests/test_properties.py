@@ -3,6 +3,7 @@ half-sum join, the witness walk, the exact R(N) rows, the one-value check
 and the solution counts over signed and repeated coefficients, and the set
 sums over signed sets."""
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -21,6 +22,8 @@ from oracles import (
     brute_rep,
     brute_sumset,
     has_distinct_solution,
+    permutation_scan_solves,
+    subset_solves_somehow,
 )
 from symfree import (
     Equation,
@@ -70,6 +73,13 @@ def sets_with_equation(draw):
     return make_set(values, 16), eq
 
 
+@pytest.mark.parametrize("a", [(1, 1), (1, -1), (1, 2, 2), (1, 2, 3), (2, -1, 3)])
+def test_meet_in_the_middle_matches_permutation_scan(a):
+    full = a + tuple(-c for c in a)
+    for subset in itertools.combinations(range(1, 10), len(full)):
+        assert subset_solves_somehow(subset, full) == permutation_scan_solves(subset, full)
+
+
 @given(st.integers(4, 8), equations)
 def test_hypergraph_matches_permutation_oracle(n, eq):
     assert build_hypergraph(n, eq).edges == brute_edges(n, eq.full_coefficients())
@@ -117,10 +127,10 @@ unit_equations = st.lists(st.sampled_from((1, -1)), min_size=2, max_size=3).map(
     lambda a: Equation(tuple(a))
 )
 
-# The oracle's permutation scan costs (2k)! per 2k-subset, so k = 3 sweeps
-# stop at N = 8.
+# The sweep tests 2^N subsets against every forbidden 2k-subset, so k = 3
+# sweeps stop at N = 13, which keeps this test near 5 s.
 equations_with_n = (unit_equations | small_equations).flatmap(
-    lambda eq: st.tuples(st.just(eq), st.integers(1, 10 if eq.k == 2 else 8))
+    lambda eq: st.tuples(st.just(eq), st.integers(1, 10 if eq.k == 2 else 13))
 )
 
 
