@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .counting import DEFAULT_BUDGET, WorkBudget
-from .model import Equation, IntegerSet, InvariantViolation, ValidationError
+from .model import Equation, IntegerSet, InvariantViolation, ValidationError, int_dtype
 
 
 def _check_digit_params(d: int, k: int, N: int = 1) -> None:
@@ -105,7 +105,7 @@ def ruzsa_digit_set(params: RuzsaParams, budget: int = DEFAULT_BUDGET) -> Intege
     d, b, n = params.d, params.base, params.N
     size = _digit_count(params)
     WorkBudget(budget).spend(_member_units(n) * size)
-    members = np.zeros(size + 1, dtype=np.int64 if n < 1 << 63 else object)
+    members = np.zeros(size + 1, dtype=int_dtype(n))
     filled = 1
     place = 1
     while place <= n:

@@ -18,9 +18,7 @@ of tiny systems `check inequalities` builds.  Past it numpy does each step
 on arrays: shifted adds on one array over the range of the sums when that
 range is at most 8 times the tuple count and `_DENSE_SPAN_CAP`, and
 otherwise the outer sums of the distinct sums so far with the next term,
-sorted, with equal sums merged.  Counts are int64 while the tuple count
-before a step stays below 2^63, which bounds every entry, and sums while
-they fit; Python ints in object arrays past that.  The arrays go straight
+sorted, with equal sums merged.  The arrays go straight
 into the energy: the sum of the squared counts when both sides are one
 system, as the halves of (a, -a) always are, and otherwise a dot product
 over the sums the two sides share.  Only `rep_function` reads them back
@@ -35,6 +33,13 @@ is free is decided by a numpy join of its half-tuples on their weighted
 sums, which is exhaustive at array speed where the walk on a free set is
 exhaustive in Python; the walker then runs only to produce the witness.
 The same join lists the forbidden 2k-sets of the exact search in `search`.
+
+Each array kernel picks int64 or Python ints in object arrays once per
+call, with `model.int_dtype`, from bounds known before it starts: for a
+convolution's counts the tuple count before its last step (a term's values
+differ, so no step's entry exceeds the tuple count before it), for its
+offsets the range of the sums, for its sums that range and their ends, and
+for an energy's dot product the product of the two tuple counts.
 """
 
 from __future__ import annotations
@@ -52,16 +57,16 @@ from .model import (
     IntegerSet,
     InvariantViolation,
     ValidationError,
+    int_dtype,
     scale,
 )
 
 DEFAULT_BUDGET = 10**9
 
 # The dense route of `_rep_counts` lays the counts out as one numpy array over
-# the range of the sums: int64 while the tuple count stays below 2^63, Python
-# ints in an object array past that.  Beyond this span the array (32 MB of
-# int64 at the cap) would dominate memory, so the system takes the sorted
-# route, whose arrays hold only the sums it attains.
+# the range of the sums.  Beyond this span the array (32 MB of int64 at the
+# cap) would dominate memory, so the system takes the sorted route, whose
+# arrays hold only the sums it attains.
 _DENSE_SPAN_CAP = 1 << 22
 # Below this many tuples one dict add per (sum, term value) pair beats
 # numpy's fixed cost per call; `check inequalities` makes thousands of such
@@ -126,9 +131,7 @@ def _rep_counts(
     arrays, the attained sums ascending and their positive counts, from the
     shifted-add array when the sums' range is at most `_DENSE_SPAN_CAP` and 8
     times the tuple count, and from sorted outer sums otherwise.  Both work
-    on offsets from the least sum, a Python int added at the end, so the
-    sums are int64 when the least and the greatest sum fit and Python ints
-    otherwise.
+    on offsets from the least sum, which is added at the end.
     """
     tuples = math.prod(map(len, terms))
     if tuples < _DENSE_WORK_FLOOR:
@@ -144,55 +147,45 @@ def _rep_counts(
         return counts
     base = sum(t[0] for t in terms)
     span = sum(t[-1] - t[0] for t in terms)
+    count_dtype = int_dtype(tuples // len(terms[-1]))
     if span < min(_DENSE_SPAN_CAP, 8 * tuples):
-        offsets, counts = _dense_counts(terms)
+        offsets, counts = _dense_counts(terms, count_dtype)
     else:
-        offsets, counts = _sorted_counts(terms)
-    if base < -(1 << 63) or base + span >= 1 << 63:
-        offsets = offsets.astype(object)
+        offsets, counts = _sorted_counts(terms, int_dtype(span), count_dtype)
+    offsets = offsets.astype(int_dtype(span, base, base + span), copy=False)
     offsets += base
     return offsets, counts
 
 
-def _dense_counts(terms: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+def _dense_counts(terms: list[list[int]], count_dtype: type) -> tuple[np.ndarray, np.ndarray]:
     """The attained offsets from the least sum and their counts, by shifted
-    adds on one array over the range of the sums so far.  As a term's values
-    differ, no entry exceeds the tuple count before its step, so the array
-    stays int64 while that count is below 2^63."""
-    lo, before = terms[0][0], len(terms[0])
-    arr = np.zeros(terms[0][-1] - lo + 1, dtype=np.int64)
+    adds on one array of `count_dtype` over the range of the sums so far."""
+    lo = terms[0][0]
+    arr = np.zeros(terms[0][-1] - lo + 1, dtype=count_dtype)
     arr[[v - lo for v in terms[0]]] = 1
     for t in terms[1:]:
-        if before >= 1 << 63 and arr.dtype != object:
-            arr = arr.astype(object)
         n, lo = len(arr), t[0]
-        new = np.zeros(n + t[-1] - lo, dtype=arr.dtype)
+        new = np.zeros(n + t[-1] - lo, dtype=count_dtype)
         for v in t:
             new[v - lo : v - lo + n] += arr
-        arr, before = new, before * len(t)
+        arr = new
     nz = np.flatnonzero(arr)
     return nz, arr[nz]
 
 
-def _sorted_counts(terms: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """The attained offsets from the least sum and their counts, for sums
-    too sparse for one array.  Each step forms the outer sums of the
-    distinct offsets so far with the next term's, sorts them and merges
-    equal ones, adding their counts.  Offsets are int64 while their range
-    fits, and counts while the tuple count before the step is below 2^63,
-    as in `_dense_counts`; Python ints past that."""
+def _sorted_counts(
+    terms: list[list[int]], offset_dtype: type, count_dtype: type
+) -> tuple[np.ndarray, np.ndarray]:
+    """The attained offsets from the least sum, of `offset_dtype`, and their
+    counts, of `count_dtype`, for sums too sparse for one array.  Each step
+    forms the outer sums of the distinct offsets so far with the next
+    term's, sorts them and merges equal ones, adding their counts."""
     lo, before = terms[0][0], len(terms[0])
-    reach = terms[0][-1] - lo
-    sums = np.array([v - lo for v in terms[0]], dtype=object if reach >= 1 << 63 else np.int64)
-    counts = np.ones(before, dtype=np.int64)
+    sums = np.array([v - lo for v in terms[0]], dtype=offset_dtype)
+    counts = np.ones(before, dtype=count_dtype)
     for t in terms[1:]:
         lo = t[0]
-        reach += t[-1] - lo
-        if reach >= 1 << 63 and sums.dtype != object:
-            sums = sums.astype(object)
-        if before >= 1 << 63 and counts.dtype != object:
-            counts = counts.astype(object)
-        outer = (sums[:, None] + np.array([v - lo for v in t], dtype=sums.dtype)).ravel()
+        outer = (sums[:, None] + np.array([v - lo for v in t], dtype=offset_dtype)).ravel()
         if len(sums) == before:  # every count so far is 1
             outer.sort()
             weights = None
@@ -209,7 +202,7 @@ def _sorted_counts(terms: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
         sums, size = outer[starts], len(outer)
         del first, outer  # the step's peak is then its sorted sums and weights
         if weights is None:
-            counts = np.diff(starts, append=size)
+            counts = np.diff(starts, append=size).astype(count_dtype, copy=False)
         else:
             counts = np.add.reduceat(weights, starts)
         before *= len(t)
@@ -260,17 +253,16 @@ def _arrays(counts) -> tuple[np.ndarray, np.ndarray]:
     if not isinstance(counts, dict):
         return counts
     sums = sorted(counts)
-    wide = sums[0] < -(1 << 63) or sums[-1] >= 1 << 63
     return (
-        np.array(sums, dtype=object if wide else np.int64),
+        np.array(sums, dtype=int_dtype(sums[0], sums[-1])),
         np.array([counts[m] for m in sums], dtype=np.int64),
     )
 
 
 def _dot(x: np.ndarray, y: np.ndarray, bound: int) -> int:
     """x·y for counts whose dot product and every partial sum of it are at
-    most `bound`: in int64 while that is below 2^63, in Python ints past."""
-    if bound >= 1 << 63:
+    most `bound`."""
+    if int_dtype(bound) is object:
         x, y = x.astype(object), y.astype(object)
     return int(x @ y)
 
@@ -296,10 +288,8 @@ def energy(lhs, rhs) -> int:
     is the sum of the squared counts.  `_self_energy` returns it with the
     number of sums attained, from the same representation function, so the
     Cauchy-Schwarz check of `setops` reads E and the sumset size from one
-    pass.  Otherwise each sum of the side with
-    fewer is looked up in the other's ascending sums, or in its dict when
-    both sides are small.  The dot product is at most one side's tuple
-    count times the other's, which picks int64 or Python ints for it.
+    pass.  Otherwise each sum of the side with fewer is looked up in the
+    other's ascending sums, and the counts of the shared sums are dotted.
     """
     lhs = list(lhs)
     rhs = list(rhs)
@@ -311,9 +301,6 @@ def energy(lhs, rhs) -> int:
         return 0
     r1 = _rep_counts(t1)
     r2 = _rep_counts(t2)
-    if isinstance(r1, dict) and isinstance(r2, dict):
-        small, big = (r1, r2) if len(r1) <= len(r2) else (r2, r1)
-        return sum(c * big.get(m, 0) for m, c in small.items())
     (s1, c1), (s2, c2) = sorted((_arrays(r1), _arrays(r2)), key=lambda r: len(r[0]))
     if s1.dtype != s2.dtype:
         s1, s2 = s1.astype(object), s2.astype(object)
@@ -595,9 +582,8 @@ def _half_sum_pairs(
     compared: pass d compares each entry with the one d places later in its
     run, and the entries still in a run at pass d are a subset of those at
     pass d - 1.  A pass yields a row per pair: the k indices into `elements`
-    of one half-tuple, then the other's.  Sums are int64 while
-    k·max|a|·max(elements) < 2^63, which bounds every sum, and Python ints
-    past that.  k + 3 units per half-tuple, one per array it is held in
+    of one half-tuple, then the other's.  k·max|a|·max(elements) bounds
+    every sum.  k + 3 units per half-tuple, one per array it is held in
     (k index columns, sums, sort order, sorted sums), plus
     `_OBJECT_SUM_UNITS` for Python int sums, are charged before anything is
     listed; 2k + 2 units per entry in a run before the first pass gathers;
@@ -607,9 +593,9 @@ def _half_sum_pairs(
     slots = sorted(a)  # slots sharing a coefficient become adjacent
     if n < 2 * len(slots):
         return
-    wide = len(slots) * max(map(abs, slots)) * elements[-1] >= 1 << 63
-    budget.spend(_half_tuple_units(n, slots, wide))
-    vals = np.array(elements, dtype=object if wide else np.int64)
+    dtype = int_dtype(len(slots) * max(map(abs, slots)) * elements[-1])
+    budget.spend(_half_tuple_units(n, slots, dtype is object))
+    vals = np.array(elements, dtype=dtype)
     cols: list[np.ndarray] = []
     for j, c in enumerate(slots):
         # Each row so far extends by every index from lo up, lo being one

@@ -51,6 +51,12 @@ def bit_positions(mask: int, offset: int = 0) -> tuple[int, ...]:
     return tuple(i + offset for i in np.flatnonzero(bits).tolist())
 
 
+def int_dtype(*values: int) -> type:
+    """np.int64 when every value lies in [-2^63, 2^63), else object: the
+    dtype of an array whose entries those values bound, exact either way."""
+    return np.int64 if -(1 << 63) <= min(values) and max(values) < 1 << 63 else object
+
+
 def scale(elements, c: int) -> list[int]:
     """c * x for every x of the ascending `elements`, ascending: reversed
     when c < 0."""

@@ -162,10 +162,11 @@ def has_distinct_solution(values, full_coeffs) -> bool:
     )
 
 
-def brute_max_free_sizes(N: int, full_coeffs):
-    """Power-set sweep of [1, N]: entry m - 1 is the largest size of a
-    subset of [1, m] that contains no forbidden subset."""
-    edges = [sum(1 << (v - 1) for v in e) for e in brute_edges(N, full_coeffs)]
+def brute_max_free_sizes(N: int, edges):
+    """Power-set sweep of [1, N] against its forbidden subsets `edges`, as
+    `brute_edges` lists them: entry m - 1 is the largest size of a subset
+    of [1, m] that contains none of them."""
+    edges = [sum(1 << (v - 1) for v in e) for e in edges]
     best = [0] * (N + 1)
     for mask in range(1 << N):
         if not any(mask & e == e for e in edges):

@@ -219,6 +219,21 @@ def test_convolve_counts_summing_to_the_int64_edge(total):
     assert out[top] == total
 
 
+def test_convolve_offsets_past_int64_with_every_sum_inside():
+    # 32 values in [-2^62, 2^62] and 32 in [-2^61, 0], ends included: 1,024
+    # tuples on the sorted route, whose offsets from the least sum reach
+    # 2^63 + 2^61 while every sum lies in [-3 * 2^61, 2^62].  The least and
+    # the greatest sum alone would call the sums int64.
+    rng = random.Random(11)
+    wide = sorted({-(1 << 62), 1 << 62, *(rng.randint(-(1 << 62), 1 << 62) for _ in range(30))})
+    narrow = sorted({-(1 << 61), 0, *(rng.randint(-(1 << 61), 0) for _ in range(30))})
+    terms = [wide, narrow]
+    assert len(wide) * len(narrow) == _DENSE_WORK_FLOOR
+    assert sum(t[-1] - t[0] for t in terms) == (1 << 63) + (1 << 61)
+    assert _route(terms) == "sorted int64"
+    assert _as_dict(_rep_counts(terms)) == _fold_all(terms)
+
+
 def test_rep_support_within_norm_times_bound():
     # positive coefficients, sets inside [1, N]: at most norm1 * N sum values
     rng = random.Random(6)

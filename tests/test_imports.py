@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module or a test module imports is used in that
+module.
 
 `__init__.py` is exempt, since its imports are the package's re-exports,
 and so are `from __future__` imports, which change how the module compiles.
@@ -9,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "symfree"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "symfree"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES += sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
