@@ -4,14 +4,15 @@ inequalities that relate their sizes and energies.
 Set arithmetic here works on arbitrary finite integer sets (zero and negative
 members included), represented as strictly increasing tuples.  IntegerSet
 inputs are accepted anywhere and are read through their elements.  Every sum
-is one fold, `_fold`, over (set, coefficient) terms, each distinct term
-scaled once: when the spans of the scaled terms add up to a small total, it
-keeps one bit mask packed into a Python int across all the terms; otherwise
-it accumulates a hash set.  The functions that return sums decode the result
-once.  The checkers only count: they read the mask's set bits, or the set's
-size, and sum-of-dilates inclusion compares two masks with the same least
-sum.  The Cauchy-Schwarz check reads E and the sumset size from one
-representation function in `counting`.
+is one fold, `_fold`, over (set, coefficient) terms: when the scaled spans
+|c| * (max - min) add up to a small total, it keeps one bit mask packed into
+a Python int across all the terms, shifting it by c times each member's
+distance from the term's end; otherwise it accumulates a hash set.  The
+functions that return sums decode the result once.  The checkers only
+count: they read the mask's set bits, or the set's size, and sum-of-dilates
+inclusion compares two masks with the same least sum.  The Cauchy-Schwarz
+check reads E and the sumset size from one representation function in
+`counting`.
 """
 
 from __future__ import annotations
@@ -57,32 +58,30 @@ def _fold(terms: Sequence[tuple[tuple[int, ...], int]]) -> tuple[int, int] | set
     elements, undecoded: a mask and its base, bit j set for the sum base + j,
     or a set of the sums.
 
-    Each distinct term is scaled once.  When the spans max - min of the
-    scaled terms add up to less than `_MASK_SPAN_LIMIT`, one mask holds the
-    sums so far, and a term ORs together the mask shifted by each
-    c*x - min(c*A); otherwise a hash set accumulates them.
+    When the spans |c| * (max - min) of the terms add up to less than
+    `_MASK_SPAN_LIMIT`, one mask holds the sums so far, and a term ORs
+    together the mask shifted by each c * (x - lo), lo being the member
+    with the least product c*lo: min for c > 0, max for c < 0.  Otherwise
+    a hash set accumulates the sums of each scaled term.
     """
-    _require_nonempty(*(elems for elems, _ in terms))
-    # Repeated terms, as in kB, hold the same tuple, so its identity keys
-    # them; every tuple stays alive in `terms` while the fold runs.
-    scaled: dict[tuple[int, int], list[int]] = {}
-    steps = []
+    span = 0
     for elems, c in terms:
-        key = (id(elems), c)
-        if key not in scaled:
-            scaled[key] = scale(elems, c)
-        steps.append(scaled[key])
-    if sum(t[-1] - t[0] for t in steps) < _MASK_SPAN_LIMIT:
-        mask = 1
-        for t in steps:
-            lo = t[0]
+        if not elems:
+            raise ValidationError("set operations need nonempty sets")
+        span += abs(c) * (elems[-1] - elems[0])
+    if span < _MASK_SPAN_LIMIT:
+        mask, base = 1, 0
+        for elems, c in terms:
+            lo = elems[0] if c > 0 else elems[-1]
             acc = 0
-            for v in t:
-                acc |= mask << (v - lo)
+            for v in elems:
+                acc |= mask << (c * (v - lo))
             mask = acc
-        return mask, sum(t[0] for t in steps)
+            base += c * lo
+        return mask, base
     sums = {0}
-    for t in steps:
+    for elems, c in terms:
+        t = scale(elems, c)
         sums = {s + v for s in sums for v in t}
     return sums
 

@@ -7,6 +7,7 @@ touching the library's convolution, partition, or branch-and-bound code paths.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -85,8 +86,13 @@ def permutation_scan_solves(values, full_coeffs) -> bool:
     return False
 
 
+@functools.lru_cache(maxsize=4096)
 def _ordered_sums(values, a):
-    return {sum(c * v for c, v in zip(a, perm)) for perm in itertools.permutations(values)}
+    """The sums of a times every ordering of the values.  A k-subset of
+    [1, N] recurs in many 2k-subsets, so `brute_edges` sums each once."""
+    return frozenset(
+        sum(c * v for c, v in zip(a, perm)) for perm in itertools.permutations(values)
+    )
 
 
 def subset_solves_somehow(values, full_coeffs) -> bool:
@@ -98,12 +104,12 @@ def subset_solves_somehow(values, full_coeffs) -> bool:
     Swapping L and R gives the same test, so the first value stays in L.
     """
     k = len(full_coeffs) // 2
-    a = full_coeffs[:k]
+    a = tuple(full_coeffs[:k])
     assert [-c for c in a] == list(full_coeffs[k:]), "not a symmetric equation"
     first, *rest = values
     for picks in itertools.combinations(range(len(rest)), k - 1):
-        left = [first] + [rest[i] for i in picks]
-        right = [v for i, v in enumerate(rest) if i not in picks]
+        left = (first, *(rest[i] for i in picks))
+        right = tuple(v for i, v in enumerate(rest) if i not in picks)
         if _ordered_sums(left, a) & _ordered_sums(right, a):
             return True
     return False
@@ -163,13 +169,22 @@ def has_distinct_solution(values, full_coeffs) -> bool:
 
 
 def brute_max_free_sizes(N: int, edges):
-    """Power-set sweep of [1, N] against its forbidden subsets `edges`, as
-    `brute_edges` lists them: entry m - 1 is the largest size of a subset
-    of [1, m] that contains none of them."""
-    edges = [sum(1 << (v - 1) for v in e) for e in edges]
+    """Depth-first sweep of the subsets of [1, N] that contain none of the
+    forbidden subsets `edges`, as `brute_edges` lists them: entry m - 1 is
+    the largest size of such a subset of [1, m].  Members join in
+    increasing order, and a new member v is tested only against the edges
+    whose largest member is v, so no superset of an edge is visited."""
+    by_top = [[] for _ in range(N + 1)]
+    for e in edges:
+        by_top[max(e)].append(sum(1 << (v - 1) for v in e))
     best = [0] * (N + 1)
-    for mask in range(1 << N):
-        if not any(mask & e == e for e in edges):
-            top = mask.bit_length()
-            best[top] = max(best[top], mask.bit_count())
+
+    def grow(mask, size, low):
+        for v in range(low, N + 1):
+            joined = mask | 1 << (v - 1)
+            if not any(joined & e == e for e in by_top[v]):
+                best[v] = max(best[v], size + 1)
+                grow(joined, size + 1, v + 1)
+
+    grow(0, 0, 1)
     return list(itertools.accumulate(best[1:], max))

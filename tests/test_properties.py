@@ -127,10 +127,11 @@ unit_equations = st.lists(st.sampled_from((1, -1)), min_size=2, max_size=3).map(
     lambda a: Equation(tuple(a))
 )
 
-# The sweep tests 2^N subsets against every forbidden 2k-subset, so k = 3
-# sweeps stop at N = 13, which keeps this test near 5 s.
+# The sweep visits only the subsets free of every forbidden 2k-subset, and
+# the edge oracle sums each k-subset once; N <= 20 at k = 2 and N <= 14 at
+# k = 3 keep this test near 3 s.
 equations_with_n = (unit_equations | small_equations).flatmap(
-    lambda eq: st.tuples(st.just(eq), st.integers(1, 10 if eq.k == 2 else 13))
+    lambda eq: st.tuples(st.just(eq), st.integers(1, 20 if eq.k == 2 else 14))
 )
 
 
@@ -389,3 +390,35 @@ def test_sorted_route_bytes_per_budget_unit(size, coeffs, monkeypatch):
     dict_peak, out = peak()
     assert isinstance(out, dict)
     assert sorted_peak <= dict_peak
+
+
+# Peak bytes per unit of a whole count of all solutions, by how its halves
+# convolve: 0.3-3.8 on these dense sets (the dict and shifted-add routes),
+# about 32 on the sparse int64 ones and 72 on the one with Python-int sums.
+_ZERO_COUNT_BYTES_PER_UNIT = {"dense": 8, **_SORTED_BYTES_PER_UNIT}
+
+
+@pytest.mark.parametrize(
+    "a, size, top, kind",
+    [
+        ((1, 1), 80, 400, "dense"),
+        ((1, 2, 2), 80, 400, "dense"),
+        ((1, 1, 1), 120, 2000, "dense"),
+        ((1, 1, 1, 1), 24, 60, "dense"),
+        ((1, 1), 600, 10**7, "int64"),
+        ((1, 2), 300, 10**6, "int64"),
+        ((1, 1 << 62), 300, 10**7, "object"),
+    ],
+)
+def test_zero_count_bytes_per_budget_unit(a, size, top, kind):
+    A = make_set(random.Random(size).sample(range(1, top + 1), size), top)
+    eq = Equation(a)
+    wb = WorkBudget()
+    tracemalloc.start()
+    try:
+        E = counting._zero_count(A, eq.full_coefficients(), wb, {})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert E == count_all_solutions(A, eq, budget=wb.used)
+    assert peak <= _ZERO_COUNT_BYTES_PER_UNIT[kind] * wb.used, peak / wb.used

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -321,3 +322,26 @@ def test_failure_reproducer_replays_its_trial(monkeypatch, check):
     inputs = _replayed_inputs(seed, trial, check)
     assert failure == {"check": check, "trial": trial, "inputs": inputs}
     assert all(type(v) in (list, int) for v in failure["inputs"].values())
+
+
+@pytest.mark.parametrize("route", ["hash", "mask"])
+def test_fold_on_each_route(monkeypatch, route):
+    # A repeated term folds the same whether its k copies share one tuple or
+    # are k equal tuples; coefficients in +-{1, ..., 5} on sets with negative
+    # members give the oracle's sums; an empty term anywhere is rejected.
+    monkeypatch.setattr(setops, "_MASK_SPAN_LIMIT", 0 if route == "hash" else 1 << 40)
+    rng = random.Random(12)
+    for _ in range(60):
+        b, k = _rand_set(rng), rng.randint(1, 4)
+        shared = _fold([(b, 1)] * k)
+        assert _fold([(tuple(list(b)), 1) for _ in range(k)]) == shared
+        assert isinstance(shared, set) == (route == "hash")
+
+        sets = [_rand_set(rng, span=12) for _ in range(rng.randint(1, 3))]
+        coeffs = [rng.choice((-5, -4, -3, -2, -1, 1, 2, 3, 4, 5)) for _ in sets]
+        assert _weighted_sums(list(zip(sets, coeffs))) == tuple(sorted(brute_rep(sets, coeffs)))
+    for at, c in itertools.product(range(3), (3, -3)):
+        terms = [((1, 2), 1), ((-3, 4), -2)]
+        terms.insert(at, ((), c))
+        with pytest.raises(ValidationError, match="nonempty"):
+            _fold(terms)
