@@ -58,7 +58,6 @@ from .model import (
     InvariantViolation,
     ValidationError,
     int_dtype,
-    scale,
 )
 
 DEFAULT_BUDGET = 10**9
@@ -209,22 +208,27 @@ def _sorted_counts(
     return sums, counts
 
 
-def _terms(sets: Sequence[IntegerSet], coeffs: Sequence[int]) -> tuple[list[list[int]], int]:
-    """The ascending scaled terms c*A of a system, checked, and its tuple
-    count."""
-    if len(sets) == 0:
+def _terms(system: Sequence) -> tuple[list[list[int]], int]:
+    """The terms c*A of a system of (IntegerSet, coefficient) pairs, each
+    ascending (reversed when c < 0), and its tuple count.  The one check of
+    a counting system: every item a pair, then at least one, then each
+    pair's set and its nonzero integer coefficient in turn."""
+    try:
+        pairs = [(s, c) for s, c in system]
+    except (TypeError, ValueError):
+        raise ValidationError("energy takes (set, coefficient) pairs") from None
+    if not pairs:
         raise ValidationError("at least one set is required")
-    if len(sets) != len(coeffs):
-        raise ValidationError("sets and coefficients must have equal length")
-    for s, c in zip(sets, coeffs):
+    terms = []
+    for s, c in pairs:
         if not isinstance(s, IntegerSet):
             raise ValidationError(f"expected an IntegerSet, got {type(s).__name__}")
         if not isinstance(c, int) or isinstance(c, bool):
             raise ValidationError(f"coefficient {c!r} is not an integer")
         if c == 0:
             raise ValidationError("coefficients must be nonzero")
-    total = math.prod(len(s.elements) for s in sets)
-    return [scale(s.elements, c) for s, c in zip(sets, coeffs)], total
+        terms.append([c * x for x in (s.elements if c > 0 else reversed(s.elements))])
+    return terms, math.prod(map(len, terms))
 
 
 def rep_function(sets: Sequence[IntegerSet], coeffs: Sequence[int]) -> RepFunction:
@@ -233,19 +237,13 @@ def rep_function(sets: Sequence[IntegerSet], coeffs: Sequence[int]) -> RepFuncti
     counts[m] is the number of tuples (x1, ..., xl), xi in Ai, with
     sum(ci * xi) == m; total is the product of the set sizes.
     """
-    terms, total = _terms(sets, coeffs)
+    if 0 < len(sets) != len(coeffs):  # no sets at all is `_terms`' to name
+        raise ValidationError("sets and coefficients must have equal length")
+    terms, total = _terms(list(zip(sets, coeffs)))
     counts = _rep_counts(terms) if total else {}
     if not isinstance(counts, dict):
         counts = dict(zip(counts[0].tolist(), counts[1].tolist()))
     return RepFunction(counts=counts, total=total)
-
-
-def _system(items: list) -> tuple[list, list]:
-    """The sets and the coefficients of a list of (set, coefficient) pairs."""
-    try:
-        return [s for s, _ in items], [c for _, c in items]
-    except (TypeError, ValueError):
-        raise ValidationError("energy takes (set, coefficient) pairs") from None
 
 
 def _arrays(counts) -> tuple[np.ndarray, np.ndarray]:
@@ -267,11 +265,12 @@ def _dot(x: np.ndarray, y: np.ndarray, bound: int) -> int:
     return int(x @ y)
 
 
-def _self_energy(system: list) -> tuple[int, int]:
+def _self_energy(system: Sequence) -> tuple[int, int]:
     """The energy of a system of (IntegerSet, coefficient) pairs against
     itself, the sum of its squared counts, and the number of sums it
-    attains, both from one `_rep_counts` pass."""
-    terms, total = _terms(*_system(system))
+    attains, both from one `_rep_counts` pass over the terms `_terms`
+    checks and builds."""
+    terms, total = _terms(system)
     if not total:
         return 0, 0
     counts = _rep_counts(terms)
@@ -282,7 +281,8 @@ def _self_energy(system: list) -> tuple[int, int]:
 
 def energy(lhs, rhs) -> int:
     """Number of joint tuples where the lhs system and rhs system take the
-    same value.  Each side is a sequence of (IntegerSet, coefficient) pairs.
+    same value.  Each side is a sequence of (IntegerSet, coefficient) pairs,
+    which `_terms` checks, lhs first, as it builds that side's terms.
 
     With both sides one system, as the halves of (a, -a) always are, this
     is the sum of the squared counts.  `_self_energy` returns it with the
@@ -295,8 +295,8 @@ def energy(lhs, rhs) -> int:
     rhs = list(rhs)
     if lhs == rhs:
         return _self_energy(lhs)[0]
-    t1, n1 = _terms(*_system(lhs))
-    t2, n2 = _terms(*_system(rhs))
+    t1, n1 = _terms(lhs)
+    t2, n2 = _terms(rhs)
     if not n1 * n2:
         return 0
     r1 = _rep_counts(t1)

@@ -57,12 +57,6 @@ def int_dtype(*values: int) -> type:
     return np.int64 if -(1 << 63) <= min(values) and max(values) < 1 << 63 else object
 
 
-def scale(elements, c: int) -> list[int]:
-    """c * x for every x of the ascending `elements`, ascending: reversed
-    when c < 0."""
-    return [c * x for x in (elements if c > 0 else reversed(elements))]
-
-
 @dataclass(frozen=True)
 class Equation:
     """Nonzero coefficients (a1, ..., ak), k >= 2."""

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .counting import _self_energy
-from .model import IntegerSet, ValidationError, bit_positions, scale
+from .model import IntegerSet, ValidationError, bit_positions
 
 _MASK_SPAN_LIMIT = 1 << 20
 
@@ -52,6 +52,12 @@ def _require_nonempty(*sets: tuple[int, ...]) -> None:
             raise ValidationError("set operations need nonempty sets")
 
 
+def _is_positive_int(value) -> bool:
+    """Whether `value` is an int >= 1, the check of every scalar parameter
+    and dilate coefficient; a bool is not one."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def _fold(terms: Sequence[tuple[tuple[int, ...], int]]) -> tuple[int, int] | set[int]:
     """Every value c1*x1 + ... + cl*xl for (elements, c) terms with nonempty
     ascending elements and nonzero c, xi taken from the i-th term's
@@ -62,7 +68,8 @@ def _fold(terms: Sequence[tuple[tuple[int, ...], int]]) -> tuple[int, int] | set
     `_MASK_SPAN_LIMIT`, one mask holds the sums so far, and a term ORs
     together the mask shifted by each c * (x - lo), lo being the member
     with the least product c*lo: min for c > 0, max for c < 0.  Otherwise
-    a hash set accumulates the sums of each scaled term.
+    a hash set accumulates the sums, adding the products c*x of each term
+    in any order.
     """
     span = 0
     for elems, c in terms:
@@ -81,7 +88,7 @@ def _fold(terms: Sequence[tuple[tuple[int, ...], int]]) -> tuple[int, int] | set
         return mask, base
     sums = {0}
     for elems, c in terms:
-        t = scale(elems, c)
+        t = [c * v for v in elems]
         sums = {s + v for s in sums for v in t}
     return sums
 
@@ -113,8 +120,8 @@ def difference(A, B) -> tuple[int, ...]:
 
 def dilate(t: int, A) -> tuple[int, ...]:
     """t * A = {t*a : a in A}, t >= 1."""
-    if t < 1:
-        raise ValidationError("dilation factor must be >= 1")
+    if not _is_positive_int(t):
+        raise ValidationError(f"dilation factor must be an integer >= 1, got {t!r}")
     a = _elements(A)
     _require_nonempty(a)
     return tuple(t * v for v in a)
@@ -122,8 +129,8 @@ def dilate(t: int, A) -> tuple[int, ...]:
 
 def iterated_sumset(k: int, B) -> tuple[int, ...]:
     """kB = B + B + ... + B with k summands, k >= 1."""
-    if k < 1:
-        raise ValidationError("need at least one summand")
+    if not _is_positive_int(k):
+        raise ValidationError(f"number of summands must be an integer >= 1, got {k!r}")
     return _weighted_sums([(_elements(B), 1)] * k)
 
 
@@ -137,7 +144,7 @@ class DilateSpec:
         coeffs = tuple(self.s)
         if not coeffs:
             raise ValidationError("a dilate spec needs at least one coefficient")
-        if any((not isinstance(c, int)) or isinstance(c, bool) or c < 1 for c in coeffs):
+        if not all(map(_is_positive_int, coeffs)):
             raise ValidationError("dilate coefficients must be integers >= 1")
         object.__setattr__(self, "s", coeffs)
 
@@ -196,8 +203,8 @@ class PlunneckeResult:
 
 
 def plunnecke_check(A, B, k: int) -> PlunneckeResult:
-    if k < 1:
-        raise ValidationError("iterated sumset order must be >= 1")
+    if not _is_positive_int(k):
+        raise ValidationError(f"iterated sumset order must be an integer >= 1, got {k!r}")
     a, b = _elements(A), _elements(B)
     n_ab = _count_sums([(a, 1), (b, 1)])
     n_kb = _count_sums([(b, 1)] * k)
@@ -227,7 +234,11 @@ def cs_energy_lower_check(sets: Sequence[tuple[IntegerSet, int]]) -> EnergyLower
     sets = list(sets)
     if not sets:
         raise ValidationError("at least one (set, coefficient) pair is required")
-    DilateSpec(tuple(c for _, c in sets))  # validates the coefficients
+    try:
+        coeffs = tuple(c for _, c in sets)
+    except (TypeError, ValueError):
+        raise ValidationError("cs_energy_lower_check takes (set, coefficient) pairs") from None
+    DilateSpec(coeffs)  # validates the coefficients
     E, size = _self_energy(sets)  # validates the sets
     _require_nonempty(*(s.elements for s, _ in sets))
     product_sq = math.prod(len(s.elements) for s, _ in sets) ** 2

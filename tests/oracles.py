@@ -1,8 +1,9 @@
 """Independent brute-force oracles for the test suite.
 
 Everything here recomputes results from first principles (full tuple grids,
-permutation scans and their meet in the middle, power-set sweeps) without
-touching the library's convolution, partition, or branch-and-bound code paths.
+permutation scans and their meet in the middle, power-set sweeps, a plain
+Russian doll search over the edge list) without touching the library's
+convolution, partition, or branch-and-bound code paths.
 """
 
 from __future__ import annotations
@@ -188,3 +189,49 @@ def brute_max_free_sizes(N: int, edges):
 
     grow(0, 0, 1)
     return list(itertools.accumulate(best[1:], max))
+
+
+def russian_doll_sizes(N: int, edges):
+    """The largest size of a subset of [1, m] free of the forbidden subsets
+    `edges`, as `brute_edges` lists them, for m = 1, ..., N: a plain
+    Russian doll search, row by row.
+
+    The edges are invariant under translation, so a free set of size
+    R(v - 1) + 1 in [1, v] holds v, and 1 (else it shifts into [1, v - 1]).
+    Row v forces both and tries 2, ..., v - 1 ascending, including before
+    excluding.  Including w drops each later candidate b that would
+    complete an edge through w: one whose only member outside the chosen
+    set is b.  A branch ends when its candidates are too few, or when its
+    least candidate w leaves room for at most R(v - w + 1) - 1 members
+    besides v, from this search's own earlier rows.
+    """
+    assert N < 64, "vertex masks are uint64"
+    through = [[] for _ in range(N + 1)]
+    for e in edges:
+        mask = sum(1 << u for u in e)
+        for u in e:
+            through[u].append(mask)
+    through = [np.array(masks, dtype=np.uint64) for masks in through]
+    sizes = [0]
+
+    def extend(chosen, cands, need):
+        # Whether `need` more of the ascending `cands` join `chosen` in row v.
+        for i, w in enumerate(cands):
+            if len(cands) - i < need or sizes[v - w + 1] - 1 < need:
+                return False
+            if need == 1:
+                return True
+            grown = chosen | 1 << w
+            rest = through[w] & np.uint64(~grown & (1 << 64) - 1)
+            blocked = int(np.bitwise_or.reduce(rest[rest & rest - np.uint64(1) == 0]))
+            if extend(grown, [b for b in cands[i + 1 :] if not blocked >> b & 1], need - 1):
+                return True
+        return False
+
+    for v in range(1, N + 1):
+        # Row v needs sizes[-1] - 1 members besides 1 and v.  Every edge
+        # has at least four members, so {1, v} is free and rows 1 and 2 are
+        # full.
+        found = v <= 2 or extend(1 << 1 | 1 << v, list(range(2, v)), sizes[-1] - 1)
+        sizes.append(sizes[-1] + found)
+    return sizes[1:]

@@ -89,6 +89,44 @@ def test_rep_function_and_energy_validate_sets_and_coefficients():
             energy(items, items)
 
 
+_A = make_set([1, 2, 3], 3)
+_B = make_set([1, 2], 2)
+
+
+# Each malformed system, and the message it is rejected with: every item a
+# pair first, then at least one pair, then each pair's set, integer and
+# nonzero coefficient in order, lhs before rhs.  A set of two members
+# unpacks as a pair of ints.
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: energy([_A], [_A]), "energy takes (set, coefficient) pairs"),
+        (lambda: energy([(_A, 1, 1)], [(_A, 1, 1)]), "energy takes (set, coefficient) pairs"),
+        (lambda: energy([(5, 0), _A], [(_A, 1)]), "energy takes (set, coefficient) pairs"),
+        (lambda: energy([(_A, 1)], [_A]), "energy takes (set, coefficient) pairs"),
+        (lambda: energy([_B], [_B]), "expected an IntegerSet, got int"),
+        (lambda: energy([(_A, 1)], []), "at least one set is required"),
+        (lambda: energy([((1, 2), 1)], [((1, 2), 1)]), "expected an IntegerSet, got tuple"),
+        (lambda: energy([(_A, 0), (5, 1)], [(_A, 1)]), "coefficients must be nonzero"),
+        (lambda: energy([(5, 0), (_A, 1)], [(_A, 1)]), "expected an IntegerSet, got int"),
+        (lambda: energy([(_A, 1.5)], [(_A, 1)]), "coefficient 1.5 is not an integer"),
+        (lambda: energy([(_A, True)], [(_A, True)]), "coefficient True is not an integer"),
+        (lambda: rep_function([], [1]), "at least one set is required"),
+        (lambda: rep_function([], []), "at least one set is required"),
+        (lambda: rep_function([_A], []), "sets and coefficients must have equal length"),
+        (lambda: rep_function([_A, _A], [1]), "sets and coefficients must have equal length"),
+        (lambda: rep_function([_A], [0]), "coefficients must be nonzero"),
+        (lambda: rep_function([(1, 2, 3)], [1]), "expected an IntegerSet, got tuple"),
+        (lambda: rep_function([_A], "x"), "coefficient 'x' is not an integer"),
+        (lambda: rep_function(_B, [1, 2]), "expected an IntegerSet, got int"),
+    ],
+)
+def test_malformed_systems_keep_their_messages(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_rep_function_matches_brute_product():
     rng = random.Random(5)
     for _ in range(40):

@@ -23,6 +23,7 @@ from oracles import (
     brute_sumset,
     has_distinct_solution,
     permutation_scan_solves,
+    russian_doll_sizes,
     subset_solves_somehow,
 )
 from symfree import (
@@ -37,6 +38,7 @@ from symfree import (
     is_solution_free,
     iterated_sumset,
     make_set,
+    parse_equation,
     sum_of_dilates,
     sumset,
 )
@@ -49,7 +51,6 @@ from symfree.counting import (
     _rep_counts,
     _search_witness,
 )
-from symfree.model import scale
 from symfree.construct import _grow_sums
 from symfree.search import _clique_cover, _unit_sums, build_hypergraph, exact_max_solution_free
 
@@ -146,6 +147,22 @@ def test_exact_rows_match_power_set_sweep(case):
     for m, row in enumerate(res.rows, start=1):
         assert set(row) <= set(range(1, m + 1))
         assert not any(set(e) <= set(row) for e in edges)
+
+
+# Past the power-set sweep's caps: the independent Russian doll over the
+# edge oracle settles these rows in about 4 s all told, most of it listing
+# the edges.
+@pytest.mark.parametrize(
+    "text, N",
+    [("1,1", 30), ("1,-1", 30), ("1,2", 30), ("3,-5", 30)]
+    + [("1,1,1", 18), ("1,2,2", 18), ("1,2,3", 18), ("2,-1,3", 18)],
+)
+def test_exact_rows_match_russian_doll_oracle(text, N):
+    eq = parse_equation(text)
+    res = exact_max_solution_free(N, eq)
+    assert res.exact
+    edges = brute_edges(N, eq.full_coefficients())
+    assert [len(row) for row in res.rows] == russian_doll_sizes(N, edges)
 
 
 @given(small_equations, st.lists(st.integers(1, 12), min_size=3, max_size=12), st.integers(0, 99))
@@ -369,7 +386,7 @@ _SORTED_BYTES_PER_UNIT = {"int64": 40, "object": 96}
 )
 def test_sorted_route_bytes_per_budget_unit(size, coeffs, monkeypatch):
     A = make_set(random.Random(31).sample(range(1, 10**7), size), 10**7)
-    terms = [scale(A.elements, c) for c in coeffs]
+    terms = [sorted(c * x for x in A.elements) for c in coeffs]
     units = _rep_cost(A, coeffs)
 
     def peak():

@@ -68,6 +68,16 @@ def test_setops_reject_empty():
         dilate(0, [1])
     with pytest.raises(ValidationError):
         iterated_sumset(0, [1])
+    # Scalar parameters are ints, and a bool is not one.
+    for bad in (1.5, 2.0, True, "2"):
+        with pytest.raises(ValidationError):
+            dilate(bad, [1, 2])
+        with pytest.raises(ValidationError):
+            iterated_sumset(bad, [1, 2])
+        with pytest.raises(ValidationError):
+            plunnecke_check([1, 2], [1, 3], bad)
+    with pytest.raises(ValidationError):
+        plunnecke_check([1, 2], [1, 3], 0)
 
 
 def test_mask_and_hash_paths_agree():
@@ -198,6 +208,9 @@ def test_cs_energy_validates_sets_and_coefficients():
         cs_energy_lower_check([(A, 1), (make_set([], 3), 2)])
     with pytest.raises(ValidationError, match="at least one"):
         cs_energy_lower_check([])
+    for items in ([A], [(A, 1, 2)], [(A, 1), 5]):
+        with pytest.raises(ValidationError, match="pairs"):
+            cs_energy_lower_check(items)
 
 
 def test_weighted_sums_on_extremes(monkeypatch):
