@@ -20,7 +20,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .counting import DEFAULT_BUDGET, WorkBudget
-from .model import Equation, IntegerSet, InvariantViolation, ValidationError, int_dtype
+from .model import (
+    Equation,
+    IntegerSet,
+    InvariantViolation,
+    ValidationError,
+    _require_positive_int,
+    int_dtype,
+)
 
 
 def _check_digit_params(d: int, k: int, N: int = 1) -> None:
@@ -215,8 +222,7 @@ def greedy_solution_free(
     one per 64 bits of each bitset.  Each kept value then charges the words
     its shifts produce.
     """
-    if N < 1:
-        raise ValidationError("domain bound N must be >= 1")
+    _require_positive_int(N, "domain bound N")
     if order not in ("ascending", "shuffle"):
         raise ValidationError(f"unknown order {order!r}")
     full = tuple(sorted(eq.full_coefficients()))

@@ -237,9 +237,13 @@ def rep_function(sets: Sequence[IntegerSet], coeffs: Sequence[int]) -> RepFuncti
     counts[m] is the number of tuples (x1, ..., xl), xi in Ai, with
     sum(ci * xi) == m; total is the product of the set sizes.
     """
+    try:
+        sets, coeffs = list(sets), list(coeffs)
+    except TypeError:
+        raise ValidationError("rep_function takes sequences of sets and coefficients") from None
     if 0 < len(sets) != len(coeffs):  # no sets at all is `_terms`' to name
         raise ValidationError("sets and coefficients must have equal length")
-    terms, total = _terms(list(zip(sets, coeffs)))
+    terms, total = _terms(zip(sets, coeffs))
     counts = _rep_counts(terms) if total else {}
     if not isinstance(counts, dict):
         counts = dict(zip(counts[0].tolist(), counts[1].tolist()))
@@ -265,12 +269,10 @@ def _dot(x: np.ndarray, y: np.ndarray, bound: int) -> int:
     return int(x @ y)
 
 
-def _self_energy(system: Sequence) -> tuple[int, int]:
-    """The energy of a system of (IntegerSet, coefficient) pairs against
-    itself, the sum of its squared counts, and the number of sums it
-    attains, both from one `_rep_counts` pass over the terms `_terms`
-    checks and builds."""
-    terms, total = _terms(system)
+def _self_energy(terms: list[list[int]], total: int) -> tuple[int, int]:
+    """The energy of a system against itself, the sum of its squared
+    counts, and the number of sums it attains, both from one `_rep_counts`
+    pass over its terms and tuple count as `_terms` returns them."""
     if not total:
         return 0, 0
     counts = _rep_counts(terms)
@@ -281,22 +283,20 @@ def _self_energy(system: Sequence) -> tuple[int, int]:
 
 def energy(lhs, rhs) -> int:
     """Number of joint tuples where the lhs system and rhs system take the
-    same value.  Each side is a sequence of (IntegerSet, coefficient) pairs,
+    same value.  Each side is an iterable of (IntegerSet, coefficient) pairs,
     which `_terms` checks, lhs first, as it builds that side's terms.
 
-    With both sides one system, as the halves of (a, -a) always are, this
-    is the sum of the squared counts.  `_self_energy` returns it with the
+    With both sides the same terms, as the halves of (a, -a) always are,
+    this is the sum of the squared counts.  `_self_energy` returns it with the
     number of sums attained, from the same representation function, so the
     Cauchy-Schwarz check of `setops` reads E and the sumset size from one
     pass.  Otherwise each sum of the side with fewer is looked up in the
     other's ascending sums, and the counts of the shared sums are dotted.
     """
-    lhs = list(lhs)
-    rhs = list(rhs)
-    if lhs == rhs:
-        return _self_energy(lhs)[0]
     t1, n1 = _terms(lhs)
     t2, n2 = _terms(rhs)
+    if t1 == t2:
+        return _self_energy(t1, n1)[0]
     if not n1 * n2:
         return 0
     r1 = _rep_counts(t1)

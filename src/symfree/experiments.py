@@ -6,7 +6,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .counting import DEFAULT_BUDGET
-from .model import Equation, IntegerSet, InvariantViolation, ValidationError
+from .model import (
+    Equation,
+    IntegerSet,
+    InvariantViolation,
+    ValidationError,
+    _is_int,
+    _require_positive_int,
+)
 from .search import (
     DEFAULT_NODE_BUDGET,
     BoundReport,
@@ -43,10 +50,11 @@ def run_rn_table(
     restarts beat it, so reported sizes never decrease.
     """
     n0 = 2 * eq.k - 1
+    if not _is_int(n_max):
+        raise ValidationError(f"table bound n_max must be an integer, got {n_max!r}")
     if n_max < n0:
         raise ValidationError(f"table needs n_max >= {n0}")
-    if trials < 1:
-        raise ValidationError("trial count must be >= 1")
+    _require_positive_int(trials, "trial count")
     walk = exact_max_solution_free(n_max, eq, budget=node_budget)
     rows = [
         RnRow(N=N, size=len(w), exact=True, witness=w)

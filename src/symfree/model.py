@@ -57,6 +57,26 @@ def int_dtype(*values: int) -> type:
     return np.int64 if -(1 << 63) <= min(values) and max(values) < 1 << 63 else object
 
 
+def _is_int(value) -> bool:
+    """Whether `value` is an int; a bool is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_positive_int(value) -> bool:
+    """Whether `value` is an int >= 1, the check of every count, bound and
+    dilate coefficient a caller passes."""
+    return _is_int(value) and value >= 1
+
+
+def _require_positive_int(value, name: str) -> None:
+    """Raise unless `_is_positive_int(value)`: "<name> must be an integer,
+    got <value>" for a non-int or bool, "<name> must be >= 1" for the rest."""
+    if not _is_int(value):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValidationError(f"{name} must be >= 1")
+
+
 @dataclass(frozen=True)
 class Equation:
     """Nonzero coefficients (a1, ..., ak), k >= 2."""

@@ -32,6 +32,7 @@ from .model import (
     IntegerSet,
     InvariantViolation,
     ValidationError,
+    _require_positive_int,
     bit_positions,
     make_set,
 )
@@ -80,8 +81,7 @@ def build_hypergraph(
     than 24 bytes per unit charged: a pair's key takes 8 bytes and is
     sorted in place, with no index array beside it.
     """
-    if N < 1:
-        raise ValidationError("domain bound N must be >= 1")
+    _require_positive_int(N, "domain bound N")
     if N >= 1 << 63:
         # [1, N] has no length in C, so the join cannot take it.  Charge
         # its half-tuples from N itself: over 2^128 units, past any
@@ -138,41 +138,51 @@ class _OutOfNodes(Exception):
 
 def _unit_sums(eq: Equation, N: int):
     """The pair conflicts of an equation whose coefficients are all +-1, on
-    sets in [1, N], read from sum bitsets (`construct._sum_bitset_plan`).
+    sets S in [1, N], read from sum bitsets (`construct._sum_bitset_plan`).
 
-    Returns the bitsets of the empty set, their update list for
-    `construct._grow_sums`, the part of that list which grows the two
-    bitsets the conflicts read, and a function taking the bitsets of a set
-    S to its conflict function:
-    u -> a mask holding each b for which S + {u, b} has a solution using
-    both.  Negating a solution puts b at a -1 slot, and u sits at some
-    c = +-1, so b = r - c*u for a sum r of the other slots over S, i.e. for
-    r in D[F - {-c, -1}]: one shift per sign of c.  Every update reads only
-    the old bitsets, so growing by the partial list alone gives the same
-    conflicts as growing by the full one.
+    u conflicts with b when S + {u, b} has a solution using both.  Negating
+    a solution puts b at a -1 slot, and u sits at some c = +-1, so
+    b = r - c*u for a sum r of the other slots over S: b is in
+    D[F - {-1, -1}] >> (offset + u) | D[F - {1, -1}] >> (offset - u), the
+    mask `_clique_cover` reads for below = D[F - {-1, -1}] >> offset and
+    above = D[F - {1, -1}] >> (offset - N), as offset = norm1*N >= 2N.
+
+    Returns the bitsets of the empty set, the update list for
+    `construct._grow_sums` of every other key, the two as (key, parts) for
+    `_grow_top`, and offset.  The two hold the most slots, so no update
+    reads them and they stay empty on a one-element set.
     """
     full = tuple(sorted(eq.full_coefficients()))
     offset = eq.norm1 * N
     minus, plus = _drop(full, -1, -1), _drop(full, 1, -1)
     keys, updates = _sum_bitset_plan([minus, plus])
-    reads = [(C, parts) for C, parts in updates if C in (minus, plus)]
+    tops = dict(updates)
     empty = dict.fromkeys(keys, 0)
     empty[()] = 1 << offset
-
-    def conflicts(D: dict):
-        below, above = D[minus], D[plus]
-        return lambda u: below >> (offset + u) | above >> (offset - u)
-
-    return empty, updates, reads, conflicts
+    updates = [(C, parts) for C, parts in updates if C not in (minus, plus)]
+    return empty, updates, (minus, tops[minus]), (plus, tops[plus]), offset
 
 
-def _clique_cover(avail: int, need: int, conflicts) -> tuple[int, int]:
+def _grow_top(D: dict, top: tuple, x: int) -> int:
+    """D[C] once x joins the set, for a pair top = (C, parts) of `_unit_sums`:
+    one step of `construct._grow_sums`' loop, kept here as its fast path for
+    c = +-1, where the shift by c*x is a shift by x, since the generic step
+    slows every node of the search."""
+    C, parts = top
+    bits = D[C]
+    for c, sub in parts:
+        bits |= D[sub] << x if c > 0 else D[sub] >> x
+    return bits
+
+
+def _clique_cover(avail: int, need: int, below: int, above: int, N: int) -> tuple[int, int]:
     """A greedy cover of the vertex mask `avail` by cliques, counted up to
-    `need`: the number of cliques and the start of the last one.
-    `conflicts(u)` is a mask holding every vertex adjacent to u.  Each clique
-    starts at the highest vertex left and takes the highest vertex adjacent
-    to all it holds until none is, so its start is its largest member and
-    the vertices from w up lie in the cliques that start at w or above.
+    `need`: the number of cliques and the start of the last one.  The mask
+    `below >> u | above >> (N - u)` holds every vertex adjacent to u <= N.
+    Each clique starts at the highest vertex left and takes the highest
+    vertex adjacent to all it holds until none is, so its start is its
+    largest member and the vertices from w up lie in the cliques that start
+    at w or above.
 
     Only reads that can change the answer are made: none for a start with
     no vertex left below it, none for a clique's last member, since the
@@ -186,13 +196,13 @@ def _clique_cover(avail: int, need: int, conflicts) -> tuple[int, int]:
         if cliques == need:
             break
         avail ^= 1 << start
-        join = avail and avail & conflicts(start)
+        join = avail and avail & (below >> start | above >> (N - start))
         while join:
             u = join.bit_length() - 1
             avail ^= 1 << u
             join ^= 1 << u
             if join:
-                join &= conflicts(u)
+                join &= below >> u | above >> (N - u)
     return cliques, start
 
 
@@ -242,8 +252,9 @@ def exact_max_solution_free(
     the sum bitsets) and its new member.  It first tests its lowest
     candidate against the candidate count and the Russian-doll cap, then
     covers its candidates from the two bitsets the conflicts read, grown by
-    the new member alone.  Only a node that survives both grows its subset
-    masks and every bitset; most children the cover prunes never do.
+    the new member alone as plain ints.  Only a node that survives both
+    grows its subset masks and the other bitsets; most children the cover
+    prunes never do.
     """
     t0 = time.perf_counter()
     n_rest = 2 * eq.k - 2
@@ -270,7 +281,7 @@ def exact_max_solution_free(
     unit = set(eq.a) <= {-1, 1}
     D1 = None
     if unit:
-        empty, updates, reads, conflicts = _unit_sums(eq, N)
+        empty, updates, minus, plus, offset = _unit_sums(eq, N)
         D1 = _grow_sums(empty, updates, 1)
     nodes = 0
     exact = True
@@ -294,10 +305,12 @@ def exact_max_solution_free(
         limit = v
         if D is not None:
             x = low.bit_length() - 1
-            cliques, limit = _clique_cover(avail, need, conflicts(_grow_sums(D, reads, x)))
+            below, above = _grow_top(D, minus, x), _grow_top(D, plus, x)
+            cliques, limit = _clique_cover(avail, need, below >> offset, above >> (offset - N), N)
             if cliques < need:
                 return 0
             D = _grow_sums(D, updates, x)
+            D[minus[0]], D[plus[0]] = below, above
         add = low.__or__
         grown = [[*levels[0], low]]
         for j in range(1, n_rest):
@@ -376,8 +389,7 @@ def random_restarts(
     """Best of `trials` seeded shuffled greedy scans; a lower bound only.
     Each scan, and the re-check that the best one is free, runs under its
     own work budget of `budget` units."""
-    if trials < 1:
-        raise ValidationError("trial count must be >= 1")
+    _require_positive_int(trials, "trial count")
     t0 = time.perf_counter()
     scans = (
         greedy_solution_free(

@@ -23,8 +23,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .counting import _self_energy
-from .model import IntegerSet, ValidationError, bit_positions
+from .counting import _self_energy, _terms
+from .model import (
+    IntegerSet,
+    ValidationError,
+    _is_positive_int,
+    _require_positive_int,
+    bit_positions,
+)
 
 _MASK_SPAN_LIMIT = 1 << 20
 
@@ -39,7 +45,10 @@ CHECK_NAMES = ("ruzsa_triangle", "plunnecke", "cs_energy_lower", "dilate_inclusi
 def _elements(s) -> tuple[int, ...]:
     if isinstance(s, IntegerSet):
         return s.elements
-    out = tuple(sorted(set(s)))
+    try:
+        out = tuple(sorted(set(s)))
+    except TypeError:
+        raise ValidationError(f"expected a set of integers, got {type(s).__name__}") from None
     for v in out:
         if not isinstance(v, int) or isinstance(v, bool):
             raise ValidationError(f"set member {v!r} is not an integer")
@@ -50,12 +59,6 @@ def _require_nonempty(*sets: tuple[int, ...]) -> None:
     for s in sets:
         if not s:
             raise ValidationError("set operations need nonempty sets")
-
-
-def _is_positive_int(value) -> bool:
-    """Whether `value` is an int >= 1, the check of every scalar parameter
-    and dilate coefficient; a bool is not one."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 def _fold(terms: Sequence[tuple[tuple[int, ...], int]]) -> tuple[int, int] | set[int]:
@@ -141,7 +144,10 @@ class DilateSpec:
     s: tuple[int, ...]
 
     def __post_init__(self):
-        coeffs = tuple(self.s)
+        try:
+            coeffs = tuple(self.s)
+        except TypeError:
+            raise ValidationError("a dilate spec takes a sequence of coefficients") from None
         if not coeffs:
             raise ValidationError("a dilate spec needs at least one coefficient")
         if not all(map(_is_positive_int, coeffs)):
@@ -156,7 +162,7 @@ class DilateSpec:
 def sum_of_dilates(spec, A) -> tuple[int, ...]:
     """s1*A + s2*A + ... + sl*A for the given coefficients."""
     if not isinstance(spec, DilateSpec):
-        spec = DilateSpec(tuple(spec))
+        spec = DilateSpec(spec)
     a = _elements(A)
     return _weighted_sums([(a, c) for c in spec.s])
 
@@ -231,15 +237,15 @@ def cs_energy_lower_check(sets: Sequence[tuple[IntegerSet, int]]) -> EnergyLower
     """Cauchy-Schwarz lower bound: E * |c1*A1 + ... + cl*Al| >= (prod |Ai|)^2,
     for IntegerSets Ai and coefficients ci >= 1.  E is the sum of the squared
     counts of one representation function, and the sumset size its support."""
-    sets = list(sets)
-    if not sets:
-        raise ValidationError("at least one (set, coefficient) pair is required")
     try:
+        sets = list(sets)
         coeffs = tuple(c for _, c in sets)
     except (TypeError, ValueError):
         raise ValidationError("cs_energy_lower_check takes (set, coefficient) pairs") from None
+    if not sets:
+        raise ValidationError("at least one (set, coefficient) pair is required")
     DilateSpec(coeffs)  # validates the coefficients
-    E, size = _self_energy(sets)  # validates the sets
+    E, size = _self_energy(*_terms(sets))  # validates the sets
     _require_nonempty(*(s.elements for s, _ in sets))
     product_sq = math.prod(len(s.elements) for s, _ in sets) ** 2
     return EnergyLowerResult(
@@ -295,8 +301,7 @@ def run_inequality_trials(trials: int, seed: int) -> dict:
     failure records the check name, the trial index, and the inputs, so a
     report plus the seed reproduces it.
     """
-    if trials < 1:
-        raise ValidationError("trial count must be >= 1")
+    _require_positive_int(trials, "trial count")
     rng = random.Random(seed)
     counts = {name: 0 for name in CHECK_NAMES}
     failures = []

@@ -119,6 +119,12 @@ _B = make_set([1, 2], 2)
         (lambda: rep_function([(1, 2, 3)], [1]), "expected an IntegerSet, got tuple"),
         (lambda: rep_function([_A], "x"), "coefficient 'x' is not an integer"),
         (lambda: rep_function(_B, [1, 2]), "expected an IntegerSet, got int"),
+        (lambda: energy(5, 5), "energy takes (set, coefficient) pairs"),
+        (lambda: energy([(_A, 1)], None), "energy takes (set, coefficient) pairs"),
+        (lambda: energy([], 5), "at least one set is required"),
+        (lambda: energy(5, []), "energy takes (set, coefficient) pairs"),
+        (lambda: rep_function(5, [1]), "rep_function takes sequences of sets and coefficients"),
+        (lambda: rep_function([_A], 5), "rep_function takes sequences of sets and coefficients"),
     ],
 )
 def test_malformed_systems_keep_their_messages(call, message):

@@ -43,6 +43,20 @@ def test_rn_table_trivial_single_row():
         run_rn_table(EQ11, 2)
 
 
+def test_rn_table_rejects_non_int_bound_and_trials():
+    for bad in (5.5, 6.0, "6", None, True):
+        with pytest.raises(ValidationError, match=r"^table bound n_max must be an integer, got "):
+            run_rn_table(EQ11, bad)
+        with pytest.raises(ValidationError, match=r"^trial count must be an integer, got "):
+            run_rn_table(EQ11, 6, trials=bad)
+    # Ints below the table's first row keep the row message.
+    for small in (0, -4, 2):
+        with pytest.raises(ValidationError, match=r"^table needs n_max >= 3$"):
+            run_rn_table(EQ11, small)
+    with pytest.raises(ValidationError, match=r"^trial count must be >= 1$"):
+        run_rn_table(EQ11, 6, trials=0)
+
+
 def test_rn_table_witnesses_are_solution_free():
     rows = run_rn_table(EQ11, 14, node_budget=200, trials=5, seed=0)
     for row in rows:

@@ -51,8 +51,14 @@ from symfree.counting import (
     _rep_counts,
     _search_witness,
 )
-from symfree.construct import _grow_sums
-from symfree.search import _clique_cover, _unit_sums, build_hypergraph, exact_max_solution_free
+from symfree.construct import _drop, _grow_sums, _sum_bitset_plan
+from symfree.search import (
+    _clique_cover,
+    _grow_top,
+    _unit_sums,
+    build_hypergraph,
+    exact_max_solution_free,
+)
 
 _HUGE = ((1 << 62) - 1, 1 << 62, (1 << 62) + 1, -(1 << 62))
 
@@ -181,6 +187,17 @@ def test_one_added_value_matches_oracle(eq, candidates, pick):
     assert has_distinct_solution_using(A, eq, value) == expected
 
 
+def _node_state(eq, N, S):
+    """The sum bitsets of S as the exact search grows them, and the two
+    conflict bitsets pre-shifted as the clique cover reads them."""
+    D, updates, minus, plus, offset = _unit_sums(eq, N)
+    for s in S:
+        below, above = _grow_top(D, minus, s), _grow_top(D, plus, s)
+        D = _grow_sums(D, updates, s)
+        D[minus[0]], D[plus[0]] = below, above
+    return D, D[minus[0]] >> offset, D[plus[0]] >> (offset - N)
+
+
 @given(unit_equations, st.lists(st.integers(1, 14), min_size=2, max_size=14, unique=True))
 def test_clique_cover_bounds_the_free_extensions(eq, values):
     # A free set S kept greedily from the drawn values, and some of the
@@ -193,99 +210,126 @@ def test_clique_cover_bounds_the_free_extensions(eq, values):
         else:
             rest.append(v)
     candidates = rest[: 7 if eq.k == 2 else 4]
-    D, updates, _, conflicts = _unit_sums(eq, 14)
-    for s in S:
-        D = _grow_sums(D, updates, s)
-    conflict = conflicts(D)
+    _, below, above = _node_state(eq, 14, S)
     for u in candidates:
+        conflict = below >> u | above >> (14 - u)
         for b in candidates:
             if b != u:
-                assert bool(conflict(u) >> b & 1) == brute_pair_conflict(S, u, b, full)
+                assert bool(conflict >> b & 1) == brute_pair_conflict(S, u, b, full)
     mask = sum(1 << u for u in candidates)
-    cliques, _ = _clique_cover(mask, len(candidates) + 1, conflict)
+    cliques, _ = _clique_cover(mask, len(candidates) + 1, below, above, 14)
     assert brute_max_joining(S, candidates, full) <= cliques <= len(candidates)
     # Counting stops once it reaches the need.
-    assert _clique_cover(mask, 1, conflict)[0] == min(1, cliques)
+    assert _clique_cover(mask, 1, below, above, 14)[0] == min(1, cliques)
     # The branching limit: fewer than `need` of the candidates from any w
     # above the start of the need-th clique can join S.
     for need in range(1, cliques + 1):
-        counted, limit = _clique_cover(mask, need, conflict)
+        counted, limit = _clique_cover(mask, need, below, above, 14)
         assert counted == need and limit in candidates
         for w in candidates:
             if w > limit:
-                above = [c for c in candidates if c >= w]
-                assert brute_max_joining(S, above, full) < need
+                above_w = [c for c in candidates if c >= w]
+                assert brute_max_joining(S, above_w, full) < need
 
 
 @given(unit_equations, st.sets(st.integers(1, 14), max_size=8), st.integers(1, 14))
 def test_lazily_grown_conflicts_match_the_full_growth(eq, S, x):
-    # The two bitsets the conflicts read, grown by x alone, give the same
-    # conflicts as every bitset grown.
-    D, updates, reads, conflicts = _unit_sums(eq, 14)
-    for s in S - {x}:
-        D = _grow_sums(D, updates, s)
-    lazy = conflicts(_grow_sums(D, reads, x))
-    full = conflicts(_grow_sums(D, updates, x))
-    for u in range(1, 15):
-        assert lazy(u) == full(u)
+    # The two conflict bitsets grown by x straight from S's bitsets, and the
+    # node's growth of the rest, equal every bitset of the plan grown by x.
+    full = tuple(sorted(eq.full_coefficients()))
+    keys, plan = _sum_bitset_plan([_drop(full, -1, -1), _drop(full, 1, -1)])
+    D, _, _ = _node_state(eq, 14, sorted(S - {x}))
+    assert D.keys() == keys
+    grown = _grow_sums(D, plan, x)
+    assert _node_state(eq, 14, sorted(S | {x}))[0] == grown
+    _, updates, minus, plus, _ = _unit_sums(eq, 14)
+    assert (_grow_top(D, minus, x), _grow_top(D, plus, x)) == (grown[minus[0]], grown[plus[0]])
+    assert {C for C, _ in updates} | {minus[0], plus[0]} == {C for C, _ in plan}
 
 
 def _plain_greedy_cover(avail, need, conflicts):
-    """The cover of `_clique_cover`, reading every member's conflicts."""
-    cliques = start = 0
+    """The cover of `_clique_cover`, reading every member's conflicts, and
+    the number of those reads that can change the answer: all but those of
+    the need-th clique, of a start with no vertex left below it and of a
+    clique's last member."""
+    cliques = start = useful = 0
     while avail and cliques < need:
         start = avail.bit_length() - 1
         avail ^= 1 << start
+        last = cliques + 1 == need
+        useful += not last and avail != 0
         join = avail & conflicts(start)
         while join:
             u = join.bit_length() - 1
             avail ^= 1 << u
+            useful += not last and join != 1 << u
             join &= conflicts(u) & avail
         cliques += 1
-    return cliques, start
+    return (cliques, start), useful
 
 
-def _random_graph(n, pairs):
-    adjacent = [0] * n
-    for u, b in pairs:
-        if u != b and max(u, b) < n:
-            adjacent[u] |= 1 << b
-            adjacent[b] |= 1 << u
-    return adjacent
+@st.composite
+def shift_graphs(draw, least=0):
+    """A graph on the vertices 0, ..., n-1 in the form the exact search
+    reads: u and b adjacent when bit u + b of `below` or bit N - u + b of
+    `above` is set, for N = n, and `above` symmetric about N.  Returns n,
+    below, above and each vertex's neighbours."""
+    n = draw(st.integers(least, 10))
+    below = draw(st.integers(0, (1 << 2 * n) - 1))
+    above = 0
+    for d in draw(st.sets(st.integers(0, n), max_size=n + 1)):
+        above |= 1 << n + d | 1 << n - d
+    adjacent = [(below >> u | above >> (n - u)) & ((1 << n) - 1) & ~(1 << u) for u in range(n)]
+    return n, below, above, adjacent
 
 
-graph_edges = st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9)))
+class _CountedShifts(int):
+    """An int that records each right shift of it in `shifts`; the cover
+    shifts `below` and `above` once each per conflict read."""
+
+    def __new__(cls, value):
+        self = super().__new__(cls, value)
+        self.shifts = []
+        return self
+
+    def __rshift__(self, other):
+        self.shifts.append(other)
+        return int(self) >> other
 
 
-@given(st.integers(0, 10), graph_edges, st.integers(0, 1023))
-def test_clique_cover_matches_the_plain_greedy(n, pairs, pick):
+@given(shift_graphs(), st.integers(0, 1023))
+def test_clique_cover_matches_the_plain_greedy(graph, pick):
     # Same answer as the greedy that reads every member's conflicts, for
-    # every need, on the whole vertex set and on a drawn part of it.
-    adjacent = _random_graph(n, pairs)
+    # every need, on the whole vertex set and on a drawn part of it, making
+    # just the reads of it that can change the answer.
+    n, below, above, adjacent = graph
+    for u in range(n):
+        for b in range(n):
+            assert adjacent[u] >> b & 1 == adjacent[b] >> u & 1
     for avail in ((1 << n) - 1, pick & ((1 << n) - 1)):
         for need in range(n + 2):
-            reads = [[], []]
-            got = _clique_cover(avail, need, lambda u: reads[0].append(u) or adjacent[u])
-            want = _plain_greedy_cover(avail, need, lambda u: reads[1].append(u) or adjacent[u])
+            counted = _CountedShifts(below), _CountedShifts(above)
+            got = _clique_cover(avail, need, *counted, n)
+            want, useful = _plain_greedy_cover(avail, need, adjacent.__getitem__)
             assert got == want
-            assert len(reads[0]) <= len(reads[1])
+            assert len(counted[0].shifts) == len(counted[1].shifts) == useful
 
 
-@given(st.integers(1, 10), graph_edges)
-def test_clique_cover_is_at_least_the_independence_number(n, pairs):
-    adjacent = _random_graph(n, pairs)
+@given(shift_graphs(least=1))
+def test_clique_cover_is_at_least_the_independence_number(graph):
+    n, below, above, adjacent = graph
     free = [
         pick
         for pick in range(1 << n)
         if not any(pick >> u & 1 and pick & adjacent[u] for u in range(n))
     ]
     independent = max(pick.bit_count() for pick in free)
-    cliques, _ = _clique_cover((1 << n) - 1, n + 1, adjacent.__getitem__)
+    cliques, _ = _clique_cover((1 << n) - 1, n + 1, below, above, n)
     assert independent <= cliques <= n
     # No independent set above the start of the need-th clique has `need`
     # vertices.
     for need in range(1, cliques + 1):
-        _, limit = _clique_cover((1 << n) - 1, need, adjacent.__getitem__)
+        _, limit = _clique_cover((1 << n) - 1, need, below, above, n)
         assert max(pick.bit_count() for pick in free if not pick & (2 << limit) - 1) < need
 
 

@@ -10,6 +10,7 @@ from symfree import (
     BudgetExceededError,
     ValidationError,
     find_distinct_solution,
+    greedy_solution_free,
     is_solution_free,
     make_set,
     parse_equation,
@@ -118,6 +119,26 @@ def test_hypergraph_budget():
         build_hypergraph(10, EQ11, budget=5)
     with pytest.raises(ValidationError):
         build_hypergraph(0, EQ11)
+
+
+@pytest.mark.parametrize("bad", [1.5, 7.0, True, False, "7", None])
+def test_search_entry_points_reject_non_int_counts(bad):
+    # N and the trial count are ints, and a bool is not one; ints below 1
+    # keep their own messages.
+    for call in (
+        lambda n: build_hypergraph(n, EQ11),
+        lambda n: exact_max_solution_free(n, EQ11),
+        lambda n: greedy_solution_free(n, EQ11),
+        lambda n: random_restarts(n, EQ11, 3, 0),
+    ):
+        with pytest.raises(ValidationError, match=r"^domain bound N must be an integer, got "):
+            call(bad)
+        with pytest.raises(ValidationError, match=r"^domain bound N must be >= 1$"):
+            call(0)
+    with pytest.raises(ValidationError, match=r"^trial count must be an integer, got "):
+        random_restarts(7, EQ11, bad, 0)
+    with pytest.raises(ValidationError, match=r"^trial count must be >= 1$"):
+        random_restarts(7, EQ11, -1, 0)
 
 
 def test_hypergraph_budget_checked_before_enumeration():

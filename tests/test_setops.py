@@ -20,7 +20,7 @@ from symfree import (
     sumset,
 )
 from symfree import setops
-from symfree.counting import _self_energy
+from symfree.counting import _self_energy, _terms
 from symfree.setops import (
     CHECK_NAMES,
     TRIAL_DENSITIES,
@@ -193,8 +193,11 @@ def test_trial_driver_shape_and_determinism():
 
 
 def test_trial_driver_validation():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^trial count must be >= 1$"):
         run_inequality_trials(0, seed=1)
+    for bad in (1.5, True, "3"):
+        with pytest.raises(ValidationError, match=r"^trial count must be an integer, got "):
+            run_inequality_trials(bad, seed=1)
 
 
 def test_cs_energy_validates_sets_and_coefficients():
@@ -208,9 +211,26 @@ def test_cs_energy_validates_sets_and_coefficients():
         cs_energy_lower_check([(A, 1), (make_set([], 3), 2)])
     with pytest.raises(ValidationError, match="at least one"):
         cs_energy_lower_check([])
-    for items in ([A], [(A, 1, 2)], [(A, 1), 5]):
+    for items in ([A], [(A, 1, 2)], [(A, 1), 5], 5, None):
         with pytest.raises(ValidationError, match="pairs"):
             cs_energy_lower_check(items)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: sumset(5, [1]), "expected a set of integers, got int"),
+        (lambda: sumset([1], None), "expected a set of integers, got NoneType"),
+        (lambda: difference([1, "a"], [1]), "expected a set of integers, got list"),
+        (lambda: sum_of_dilates(5, [1]), "a dilate spec takes a sequence of coefficients"),
+        (lambda: sum_of_dilates([1], 5), "expected a set of integers, got int"),
+        (lambda: plunnecke_check(5, [1], 1), "expected a set of integers, got int"),
+    ],
+)
+def test_non_iterable_sets_raise_validation_errors(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_weighted_sums_on_extremes(monkeypatch):
@@ -274,10 +294,11 @@ def test_counted_sums_match_decoded_sums(monkeypatch, route):
         system = [(A, co) for co in coeffs]
         counts = brute_rep([A.elements] * len(coeffs), coeffs)
         terms = [(A.elements, co) for co in coeffs]
-        assert _self_energy(system) == (sum(n * n for n in counts.values()), _decoded_size(*terms))
+        self_energy = _self_energy(*_terms(system))
+        assert self_energy == (sum(n * n for n in counts.values()), _decoded_size(*terms))
         if all(co > 0 for co in coeffs):
             cs = cs_energy_lower_check(system)
-            assert (cs.E, cs.sumset_size) == _self_energy(system)
+            assert (cs.E, cs.sumset_size) == self_energy
             assert cs.product_sq == len(A) ** (2 * len(coeffs))
 
 
