@@ -25,7 +25,9 @@ from .model import (
     IntegerSet,
     InvariantViolation,
     ValidationError,
+    _require_int,
     _require_positive_int,
+    _require_types,
     int_dtype,
 )
 
@@ -33,8 +35,7 @@ from .model import (
 def _check_digit_params(d: int, k: int, N: int = 1) -> None:
     """d, k and N ints and not bools, d, k >= 2 and N >= 1."""
     for name, v in (("digit cap d", d), ("arity k", k), ("domain bound N", N)):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ValidationError(f"{name} must be an integer, got {v!r}")
+        _require_int(v, name)
     if d < 2:
         raise ValidationError("digit cap d must be >= 2")
     if k < 2:
@@ -109,6 +110,7 @@ def ruzsa_digit_set(params: RuzsaParams, budget: int = DEFAULT_BUDGET) -> Intege
     met, the first member >= 1, the last <= N, strictly increasing) and the
     set is made from it without checking each member again.
     """
+    _require_types((params, RuzsaParams))
     d, b, n = params.d, params.base, params.N
     size = _digit_count(params)
     WorkBudget(budget).spend(_member_units(n) * size)
@@ -223,6 +225,7 @@ def greedy_solution_free(
     its shifts produce.
     """
     _require_positive_int(N, "domain bound N")
+    _require_types((eq, Equation))
     if order not in ("ascending", "shuffle"):
         raise ValidationError(f"unknown order {order!r}")
     full = tuple(sorted(eq.full_coefficients()))

@@ -57,6 +57,10 @@ from .model import (
     IntegerSet,
     InvariantViolation,
     ValidationError,
+    _is_int,
+    _require_int,
+    _require_positive_int,
+    _require_types,
     int_dtype,
 )
 
@@ -87,8 +91,7 @@ class WorkBudget:
     __slots__ = ("limit", "used")
 
     def __init__(self, limit: int = DEFAULT_BUDGET):
-        if limit < 1:
-            raise ValidationError("budget must be >= 1")
+        _require_positive_int(limit, "budget")
         self.limit = limit
         self.used = 0
 
@@ -221,9 +224,8 @@ def _terms(system: Sequence) -> tuple[list[list[int]], int]:
         raise ValidationError("at least one set is required")
     terms = []
     for s, c in pairs:
-        if not isinstance(s, IntegerSet):
-            raise ValidationError(f"expected an IntegerSet, got {type(s).__name__}")
-        if not isinstance(c, int) or isinstance(c, bool):
+        _require_types((s, IntegerSet))
+        if not _is_int(c):
             raise ValidationError(f"coefficient {c!r} is not an integer")
         if c == 0:
             raise ValidationError("coefficients must be nonzero")
@@ -311,14 +313,16 @@ def energy(lhs, rhs) -> int:
 
 def count_all_solutions(A: IntegerSet, eq: Equation, budget: int = DEFAULT_BUDGET) -> int:
     """Ordered 2k-tuples over A solving the equation, coincidences allowed."""
+    _require_types((A, IntegerSet), (eq, Equation))
     return _zero_count(A, eq.full_coefficients(), WorkBudget(budget), {})
 
 
 def count_coincident(A: IntegerSet, eq: Equation, i: int, j: int) -> int:
     """Solutions over A with x_i == x_j (1-based indices into the 2k slots)."""
+    _require_types((A, IntegerSet), (eq, Equation))
     two_k = 2 * eq.k
-    if not (1 <= i < j <= two_k):
-        raise ValidationError(f"need 1 <= i < j <= {two_k}, got ({i}, {j})")
+    if not (_is_int(i) and _is_int(j) and 1 <= i < j <= two_k):
+        raise ValidationError(f"need 1 <= i < j <= {two_k}, got ({i!r}, {j!r})")
     return _zero_count(A, _merged_coefficients(eq, i, j), WorkBudget(), {})
 
 
@@ -422,6 +426,7 @@ def count_distinct_solutions(
     pairs summed into one weight.  Both are exact and run under a step
     budget.
     """
+    _require_types((A, IntegerSet), (eq, Equation))
     if method == "enumerate":
         walk = _search_witness(A.elements, eq, WorkBudget(budget))
         return _symmetry_order(eq) * sum(1 for _ in walk)
@@ -659,6 +664,7 @@ def find_distinct_solution(
     """The lexicographically first canonical distinct-valued solution over A
     in slot order, or None.  One budget covers the join that decides and
     the walk that produces the witness after a collision."""
+    _require_types((A, IntegerSet), (eq, Equation))
     wb = WorkBudget(budget)
     if not _half_sums_collide(A.elements, eq.a, wb):
         return None
@@ -673,6 +679,7 @@ def find_distinct_solution(
 
 def is_solution_free(A: IntegerSet, eq: Equation, budget: int = DEFAULT_BUDGET) -> bool:
     """Whether A admits no solution with 2k pairwise different values."""
+    _require_types((A, IntegerSet), (eq, Equation))
     return not _half_sums_collide(A.elements, eq.a, WorkBudget(budget))
 
 
@@ -684,6 +691,8 @@ def has_distinct_solution_using(
     Assumes A itself is solution-free; any solution of A plus the value then
     uses the value, so one walk over their union decides it.
     """
+    _require_types((A, IntegerSet), (eq, Equation))
+    _require_int(value, "value")
     grown = tuple(sorted({*A.elements, value}))
     return next(_search_witness(grown, eq, WorkBudget(budget)), None) is not None
 
@@ -705,6 +714,7 @@ def solution_report(
     and one memo cover the partition sum, E and every coincidence count:
     once the partition sum has run, E and each coincidence count are among
     its terms."""
+    _require_types((A, IntegerSet), (eq, Equation))
     two_k = 2 * eq.k
     wb, memo = WorkBudget(budget), {}
     distinct = _count_distinct_partitions(A, eq, wb, memo)

@@ -11,8 +11,9 @@ from .model import (
     IntegerSet,
     InvariantViolation,
     ValidationError,
-    _is_int,
+    _require_int,
     _require_positive_int,
+    _require_types,
 )
 from .search import (
     DEFAULT_NODE_BUDGET,
@@ -49,9 +50,9 @@ def run_rn_table(
     A heuristic row keeps the previous row's witness unless seeded greedy
     restarts beat it, so reported sizes never decrease.
     """
+    _require_types((eq, Equation))
     n0 = 2 * eq.k - 1
-    if not _is_int(n_max):
-        raise ValidationError(f"table bound n_max must be an integer, got {n_max!r}")
+    _require_int(n_max, "table bound n_max")
     if n_max < n0:
         raise ValidationError(f"table needs n_max >= {n0}")
     _require_positive_int(trials, "trial count")
@@ -76,6 +77,7 @@ def run_bound_report(
     A lower-bound violation would contradict a theorem, so it raises instead
     of being reported as data.
     """
+    _require_types((eq, Equation))
     if not sets:
         raise ValidationError("bound report needs at least one set")
     rows = []

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ValidationError
+from .model import ValidationError, _require_int
 
 
 @dataclass(frozen=True)
@@ -24,14 +24,19 @@ class FitResult:
 def fit_exponent(points) -> FitResult:
     """Fit size ~ C * N^slope through the given (N, size) points.
 
-    Needs at least three points with N >= 2, size >= 1, and at least two
-    distinct N values.  r_squared is 1.0 for a degenerate flat fit with zero
-    residual.
+    Needs at least three points, each a pair of ints with N >= 2 and
+    size >= 1, and at least two distinct N values.  r_squared is 1.0 for a
+    degenerate flat fit with zero residual.
     """
-    pts = tuple((int(n), int(size)) for n, size in points)
+    try:
+        pts = tuple((n, size) for n, size in points)
+    except (TypeError, ValueError):
+        raise ValidationError("exponent fit takes (N, size) points") from None
     if len(pts) < 3:
         raise ValidationError("exponent fit needs at least 3 points")
     for n, size in pts:
+        _require_int(n, "point N")
+        _require_int(size, "point size")
         if n < 2:
             raise ValidationError("exponent fit needs N >= 2")
         if size < 1:

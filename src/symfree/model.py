@@ -68,13 +68,26 @@ def _is_positive_int(value) -> bool:
     return _is_int(value) and value >= 1
 
 
-def _require_positive_int(value, name: str) -> None:
-    """Raise unless `_is_positive_int(value)`: "<name> must be an integer,
-    got <value>" for a non-int or bool, "<name> must be >= 1" for the rest."""
+def _require_int(value, name: str) -> None:
+    """Raise "<name> must be an integer, got <value>" unless `_is_int(value)`."""
     if not _is_int(value):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def _require_positive_int(value, name: str) -> None:
+    """`_require_int`, then "<name> must be >= 1" for an int below 1."""
+    _require_int(value, name)
     if value < 1:
         raise ValidationError(f"{name} must be >= 1")
+
+
+def _require_types(*pairs) -> None:
+    """Raise "expected an <cls>, got <type>" at the first (value, cls) pair
+    whose value is not a cls: how public functions check their objects."""
+    for value, cls in pairs:
+        if not isinstance(value, cls):
+            article = "an" if cls.__name__[0] in "AEIOU" else "a"
+            raise ValidationError(f"expected {article} {cls.__name__}, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -88,7 +101,7 @@ class Equation:
         if len(coeffs) < 2:
             raise ValidationError("an equation needs at least 2 coefficients")
         for c in coeffs:
-            if not isinstance(c, int) or isinstance(c, bool):
+            if not _is_int(c):
                 raise ValidationError(f"coefficient {c!r} is not an integer")
             if c == 0:
                 raise ValidationError("zero coefficients are not allowed")
@@ -134,14 +147,14 @@ class IntegerSet:
     domain_bound: int
 
     def __post_init__(self):
-        if not isinstance(self.domain_bound, int) or isinstance(self.domain_bound, bool):
+        if not _is_int(self.domain_bound):
             raise ValidationError("domain bound must be an integer")
         if self.domain_bound < 1:
             raise ValidationError("domain bound must be >= 1")
         elems = tuple(self.elements)
         prev = 0
         for v in elems:
-            if not isinstance(v, int) or isinstance(v, bool):
+            if not _is_int(v):
                 raise ValidationError(f"element {v!r} is not an integer")
             if v < 1 or v > self.domain_bound:
                 raise ValidationError(
@@ -175,7 +188,11 @@ class IntegerSet:
 
 def make_set(values, domain_bound: int) -> IntegerSet:
     """Sort, deduplicate, and range-check values into an IntegerSet."""
-    return IntegerSet(tuple(sorted(set(values))), domain_bound)
+    try:
+        elements = tuple(sorted(set(values)))
+    except TypeError:
+        raise ValidationError(f"expected a set of integers, got {type(values).__name__}") from None
+    return IntegerSet(elements, domain_bound)
 
 
 def parse_set_text(text: str) -> list[int]:
@@ -191,7 +208,7 @@ def parse_set_text(text: str) -> list[int]:
         if not isinstance(data, list):
             raise ParseError("JSON set file must be an array of integers")
         for v in data:
-            if not isinstance(v, int) or isinstance(v, bool):
+            if not _is_int(v):
                 raise ParseError(f"set entry {v!r} is not an integer")
         return list(data)
     out = []

@@ -32,7 +32,9 @@ from .model import (
     IntegerSet,
     InvariantViolation,
     ValidationError,
+    _require_int,
     _require_positive_int,
+    _require_types,
     bit_positions,
     make_set,
 )
@@ -82,6 +84,7 @@ def build_hypergraph(
     sorted in place, with no index array beside it.
     """
     _require_positive_int(N, "domain bound N")
+    _require_types((eq, Equation))
     if N >= 1 << 63:
         # [1, N] has no length in C, so the join cannot take it.  Charge
         # its half-tuples from N itself: over 2^128 units, past any
@@ -256,6 +259,8 @@ def exact_max_solution_free(
     grows its subset masks and the other bitsets; most children the cover
     prunes never do.
     """
+    _require_types((eq, Equation))
+    _require_int(budget, "node budget")
     t0 = time.perf_counter()
     n_rest = 2 * eq.k - 2
     # Edges ordered by their top vertex: block v, edges[tops[v]:tops[v + 1]],
@@ -432,6 +437,7 @@ def check_energy_bounds(
     solution-free sets, against C(2k,2) * M^{2k-2} from above.  `budget`
     bounds the convolutions behind E and, separately, the half-sum join
     that decides `is_solution_free`."""
+    _require_types((A, IntegerSet), (eq, Equation))
     if not A.elements:
         raise ValidationError("energy bounds need a nonempty set")
     M = len(A.elements)

@@ -17,7 +17,6 @@ check reads E and the sumset size from one representation function in
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,12 +26,14 @@ from .counting import _self_energy, _terms
 from .model import (
     IntegerSet,
     ValidationError,
+    _is_int,
     _is_positive_int,
     _require_positive_int,
     bit_positions,
 )
 
 _MASK_SPAN_LIMIT = 1 << 20
+_EMPTY = "set operations need nonempty sets"
 
 # Fixed grid for the randomized checkers: every trial draws a span and a
 # density from these, so failures replay from (seed, trial index) alone.
@@ -50,15 +51,9 @@ def _elements(s) -> tuple[int, ...]:
     except TypeError:
         raise ValidationError(f"expected a set of integers, got {type(s).__name__}") from None
     for v in out:
-        if not isinstance(v, int) or isinstance(v, bool):
+        if not _is_int(v):
             raise ValidationError(f"set member {v!r} is not an integer")
     return out
-
-
-def _require_nonempty(*sets: tuple[int, ...]) -> None:
-    for s in sets:
-        if not s:
-            raise ValidationError("set operations need nonempty sets")
 
 
 def _fold(terms: Sequence[tuple[tuple[int, ...], int]]) -> tuple[int, int] | set[int]:
@@ -77,7 +72,7 @@ def _fold(terms: Sequence[tuple[tuple[int, ...], int]]) -> tuple[int, int] | set
     span = 0
     for elems, c in terms:
         if not elems:
-            raise ValidationError("set operations need nonempty sets")
+            raise ValidationError(_EMPTY)
         span += abs(c) * (elems[-1] - elems[0])
     if span < _MASK_SPAN_LIMIT:
         mask, base = 1, 0
@@ -126,7 +121,8 @@ def dilate(t: int, A) -> tuple[int, ...]:
     if not _is_positive_int(t):
         raise ValidationError(f"dilation factor must be an integer >= 1, got {t!r}")
     a = _elements(A)
-    _require_nonempty(a)
+    if not a:
+        raise ValidationError(_EMPTY)
     return tuple(t * v for v in a)
 
 
@@ -245,9 +241,11 @@ def cs_energy_lower_check(sets: Sequence[tuple[IntegerSet, int]]) -> EnergyLower
     if not sets:
         raise ValidationError("at least one (set, coefficient) pair is required")
     DilateSpec(coeffs)  # validates the coefficients
-    E, size = _self_energy(*_terms(sets))  # validates the sets
-    _require_nonempty(*(s.elements for s, _ in sets))
-    product_sq = math.prod(len(s.elements) for s, _ in sets) ** 2
+    terms, total = _terms(sets)  # validates the sets
+    if not total:
+        raise ValidationError(_EMPTY)
+    E, size = _self_energy(terms, total)
+    product_sq = total**2
     return EnergyLowerResult(
         E=E, sumset_size=size, product_sq=product_sq, holds=E * size >= product_sq
     )
