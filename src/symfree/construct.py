@@ -34,14 +34,13 @@ from .model import (
 
 def _check_digit_params(d: int, k: int, N: int = 1) -> None:
     """d, k and N ints and not bools, d, k >= 2 and N >= 1."""
-    for name, v in (("digit cap d", d), ("arity k", k), ("domain bound N", N)):
+    for name, v in (("digit cap d", d), ("arity k", k)):
         _require_int(v, name)
     if d < 2:
         raise ValidationError("digit cap d must be >= 2")
     if k < 2:
         raise ValidationError("arity k must be >= 2")
-    if N < 1:
-        raise ValidationError("domain bound N must be >= 1")
+    _require_positive_int(N, "domain bound N")
 
 
 @dataclass(frozen=True)
@@ -228,6 +227,7 @@ def greedy_solution_free(
     _require_types((eq, Equation))
     if order not in ("ascending", "shuffle"):
         raise ValidationError(f"unknown order {order!r}")
+    _require_int(seed, "seed")
     full = tuple(sorted(eq.full_coefficients()))
     tests = [(c, _drop(full, c)) for c in sorted(set(full)) if c > 0]
     keys, updates = _sum_bitset_plan([rest for _, rest in tests])

@@ -58,6 +58,9 @@ from .model import (
     InvariantViolation,
     ValidationError,
     _is_int,
+    _read_pairs,
+    _read_sequence,
+    _require_coefficient,
     _require_int,
     _require_positive_int,
     _require_types,
@@ -216,19 +219,13 @@ def _terms(system: Sequence) -> tuple[list[list[int]], int]:
     ascending (reversed when c < 0), and its tuple count.  The one check of
     a counting system: every item a pair, then at least one, then each
     pair's set and its nonzero integer coefficient in turn."""
-    try:
-        pairs = [(s, c) for s, c in system]
-    except (TypeError, ValueError):
-        raise ValidationError("energy takes (set, coefficient) pairs") from None
+    pairs = _read_pairs(system, "energy takes (set, coefficient) pairs")
     if not pairs:
         raise ValidationError("at least one set is required")
     terms = []
     for s, c in pairs:
         _require_types((s, IntegerSet))
-        if not _is_int(c):
-            raise ValidationError(f"coefficient {c!r} is not an integer")
-        if c == 0:
-            raise ValidationError("coefficients must be nonzero")
+        _require_coefficient(c)
         terms.append([c * x for x in (s.elements if c > 0 else reversed(s.elements))])
     return terms, math.prod(map(len, terms))
 
@@ -239,10 +236,8 @@ def rep_function(sets: Sequence[IntegerSet], coeffs: Sequence[int]) -> RepFuncti
     counts[m] is the number of tuples (x1, ..., xl), xi in Ai, with
     sum(ci * xi) == m; total is the product of the set sizes.
     """
-    try:
-        sets, coeffs = list(sets), list(coeffs)
-    except TypeError:
-        raise ValidationError("rep_function takes sequences of sets and coefficients") from None
+    message = "rep_function takes sequences of sets and coefficients"
+    sets, coeffs = _read_sequence(sets, message), _read_sequence(coeffs, message)
     if 0 < len(sets) != len(coeffs):  # no sets at all is `_terms`' to name
         raise ValidationError("sets and coefficients must have equal length")
     terms, total = _terms(zip(sets, coeffs))

@@ -11,6 +11,7 @@ from .model import (
     IntegerSet,
     InvariantViolation,
     ValidationError,
+    _read_sequence,
     _require_int,
     _require_positive_int,
     _require_types,
@@ -47,8 +48,8 @@ def run_rn_table(
     up to where its node budget runs out, heuristic lower bounds afterwards.
 
     Row 2k-1 is the largest N where every subset is trivially solution-free.
-    A heuristic row keeps the previous row's witness unless seeded greedy
-    restarts beat it, so reported sizes never decrease.
+    A heuristic row keeps the previous row's witness unless greedy restarts
+    seeded `seed + N` beat it, so reported sizes never decrease.
     """
     _require_types((eq, Equation))
     n0 = 2 * eq.k - 1
@@ -56,6 +57,7 @@ def run_rn_table(
     if n_max < n0:
         raise ValidationError(f"table needs n_max >= {n0}")
     _require_positive_int(trials, "trial count")
+    _require_int(seed, "seed")
     walk = exact_max_solution_free(n_max, eq, budget=node_budget)
     rows = [
         RnRow(N=N, size=len(w), exact=True, witness=w)
@@ -78,6 +80,7 @@ def run_bound_report(
     of being reported as data.
     """
     _require_types((eq, Equation))
+    sets = _read_sequence(sets, "bound report takes a sequence of sets")
     if not sets:
         raise ValidationError("bound report needs at least one set")
     rows = []

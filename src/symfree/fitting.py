@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ValidationError, _require_int
+from .model import ValidationError, _read_pairs, _require_int, _require_positive_int
 
 
 @dataclass(frozen=True)
@@ -28,19 +28,14 @@ def fit_exponent(points) -> FitResult:
     size >= 1, and at least two distinct N values.  r_squared is 1.0 for a
     degenerate flat fit with zero residual.
     """
-    try:
-        pts = tuple((n, size) for n, size in points)
-    except (TypeError, ValueError):
-        raise ValidationError("exponent fit takes (N, size) points") from None
+    pts = tuple(_read_pairs(points, "exponent fit takes (N, size) points"))
     if len(pts) < 3:
         raise ValidationError("exponent fit needs at least 3 points")
     for n, size in pts:
         _require_int(n, "point N")
-        _require_int(size, "point size")
         if n < 2:
             raise ValidationError("exponent fit needs N >= 2")
-        if size < 1:
-            raise ValidationError("exponent fit needs size >= 1")
+        _require_positive_int(size, "point size")
     # math.log takes Python ints of any size, where np.log fails on the
     # object array that ints past 2^63 make.
     x = np.array([math.log(n) for n, _ in pts])

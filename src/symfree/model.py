@@ -7,6 +7,13 @@ A symmetric equation with coefficients (a1, ..., ak) is
 
 over 2k integer variables.  A tuple solves it exactly when the dot product
 with the full coefficient vector (a1, ..., ak, -a1, ..., -ak) is zero.
+
+Public functions check their arguments with one helper per shape, each
+raising a ValidationError that names the argument: `_require_int` and
+`_require_positive_int` (an int that is not a bool, as `_is_int` tests,
+and one >= 1), `_require_coefficient` (a nonzero int), `_require_types` (an
+instance of a class), `_read_sequence` and `_read_pairs` (any iterable, and
+one of 2-item pairs) and `_read_int_set` (ints, sorted and deduplicated).
 """
 
 from __future__ import annotations
@@ -62,12 +69,6 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_positive_int(value) -> bool:
-    """Whether `value` is an int >= 1, the check of every count, bound and
-    dilate coefficient a caller passes."""
-    return _is_int(value) and value >= 1
-
-
 def _require_int(value, name: str) -> None:
     """Raise "<name> must be an integer, got <value>" unless `_is_int(value)`."""
     if not _is_int(value):
@@ -81,6 +82,14 @@ def _require_positive_int(value, name: str) -> None:
         raise ValidationError(f"{name} must be >= 1")
 
 
+def _require_coefficient(c) -> None:
+    """Raise unless `c` is a nonzero int."""
+    if not _is_int(c):
+        raise ValidationError(f"coefficient {c!r} is not an integer")
+    if c == 0:
+        raise ValidationError("coefficients must be nonzero")
+
+
 def _require_types(*pairs) -> None:
     """Raise "expected an <cls>, got <type>" at the first (value, cls) pair
     whose value is not a cls: how public functions check their objects."""
@@ -90,6 +99,37 @@ def _require_types(*pairs) -> None:
             raise ValidationError(f"expected {article} {cls.__name__}, got {type(value).__name__}")
 
 
+def _read_sequence(items, message: str) -> tuple:
+    """`items` as a tuple; ValidationError(message) if it is not iterable."""
+    try:
+        return tuple(items)
+    except TypeError:
+        raise ValidationError(message) from None
+
+
+def _read_pairs(items, message: str) -> list[tuple]:
+    """`items` as a list of pairs; ValidationError(message) unless it is
+    iterable and each item unpacks into exactly two values."""
+    try:
+        return [(x, y) for x, y in items]
+    except (TypeError, ValueError):
+        raise ValidationError(message) from None
+
+
+def _read_int_set(values) -> tuple[int, ...]:
+    """The distinct ints of `values` ascending, or an IntegerSet's elements."""
+    if isinstance(values, IntegerSet):
+        return values.elements
+    try:
+        out = tuple(sorted(set(values)))
+    except TypeError:
+        raise ValidationError(f"expected a set of integers, got {type(values).__name__}") from None
+    for v in out:
+        if not _is_int(v):
+            raise ValidationError(f"element {v!r} is not an integer")
+    return out
+
+
 @dataclass(frozen=True)
 class Equation:
     """Nonzero coefficients (a1, ..., ak), k >= 2."""
@@ -97,14 +137,11 @@ class Equation:
     a: tuple[int, ...]
 
     def __post_init__(self):
-        coeffs = tuple(self.a)
+        coeffs = _read_sequence(self.a, "an equation takes a sequence of coefficients")
         if len(coeffs) < 2:
             raise ValidationError("an equation needs at least 2 coefficients")
         for c in coeffs:
-            if not _is_int(c):
-                raise ValidationError(f"coefficient {c!r} is not an integer")
-            if c == 0:
-                raise ValidationError("zero coefficients are not allowed")
+            _require_coefficient(c)
         object.__setattr__(self, "a", coeffs)
 
     @property
@@ -147,11 +184,8 @@ class IntegerSet:
     domain_bound: int
 
     def __post_init__(self):
-        if not _is_int(self.domain_bound):
-            raise ValidationError("domain bound must be an integer")
-        if self.domain_bound < 1:
-            raise ValidationError("domain bound must be >= 1")
-        elems = tuple(self.elements)
+        _require_positive_int(self.domain_bound, "domain bound")
+        elems = _read_sequence(self.elements, "an IntegerSet takes a sequence of elements")
         prev = 0
         for v in elems:
             if not _is_int(v):
@@ -188,11 +222,7 @@ class IntegerSet:
 
 def make_set(values, domain_bound: int) -> IntegerSet:
     """Sort, deduplicate, and range-check values into an IntegerSet."""
-    try:
-        elements = tuple(sorted(set(values)))
-    except TypeError:
-        raise ValidationError(f"expected a set of integers, got {type(values).__name__}") from None
-    return IntegerSet(elements, domain_bound)
+    return IntegerSet(_read_int_set(values), domain_bound)
 
 
 def parse_set_text(text: str) -> list[int]:
@@ -205,8 +235,6 @@ def parse_set_text(text: str) -> list[int]:
             data = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON set file: {exc}") from exc
-        if not isinstance(data, list):
-            raise ParseError("JSON set file must be an array of integers")
         for v in data:
             if not _is_int(v):
                 raise ParseError(f"set entry {v!r} is not an integer")

@@ -391,10 +391,11 @@ def exact_max_solution_free(
 def random_restarts(
     N: int, eq: Equation, trials: int, seed: int, budget: int = DEFAULT_BUDGET
 ) -> SearchResult:
-    """Best of `trials` seeded shuffled greedy scans; a lower bound only.
-    Each scan, and the re-check that the best one is free, runs under its
-    own work budget of `budget` units."""
+    """Best of `trials` shuffled greedy scans, scan t seeded with
+    `seed * 1_000_003 + t`; a lower bound only.  Each scan, and the re-check
+    that the best one is free, runs under its own work budget of `budget`."""
     _require_positive_int(trials, "trial count")
+    _require_int(seed, "seed")
     t0 = time.perf_counter()
     scans = (
         greedy_solution_free(

@@ -26,8 +26,10 @@ from .counting import _self_energy, _terms
 from .model import (
     IntegerSet,
     ValidationError,
-    _is_int,
-    _is_positive_int,
+    _read_int_set,
+    _read_pairs,
+    _read_sequence,
+    _require_int,
     _require_positive_int,
     bit_positions,
 )
@@ -41,19 +43,6 @@ TRIAL_SPANS = (20, 40, 50)
 TRIAL_DENSITIES = (0.1, 0.3, 0.6)
 
 CHECK_NAMES = ("ruzsa_triangle", "plunnecke", "cs_energy_lower", "dilate_inclusion")
-
-
-def _elements(s) -> tuple[int, ...]:
-    if isinstance(s, IntegerSet):
-        return s.elements
-    try:
-        out = tuple(sorted(set(s)))
-    except TypeError:
-        raise ValidationError(f"expected a set of integers, got {type(s).__name__}") from None
-    for v in out:
-        if not _is_int(v):
-            raise ValidationError(f"set member {v!r} is not an integer")
-    return out
 
 
 def _fold(terms: Sequence[tuple[tuple[int, ...], int]]) -> tuple[int, int] | set[int]:
@@ -108,29 +97,24 @@ def _count_sums(terms: Sequence[tuple[tuple[int, ...], int]]) -> int:
 
 def sumset(A, B) -> tuple[int, ...]:
     """A + B = {a + b : a in A, b in B}."""
-    return _weighted_sums([(_elements(A), 1), (_elements(B), 1)])
+    return _weighted_sums([(_read_int_set(A), 1), (_read_int_set(B), 1)])
 
 
 def difference(A, B) -> tuple[int, ...]:
     """A - B = {a - b : a in A, b in B}."""
-    return _weighted_sums([(_elements(A), 1), (_elements(B), -1)])
+    return _weighted_sums([(_read_int_set(A), 1), (_read_int_set(B), -1)])
 
 
 def dilate(t: int, A) -> tuple[int, ...]:
     """t * A = {t*a : a in A}, t >= 1."""
-    if not _is_positive_int(t):
-        raise ValidationError(f"dilation factor must be an integer >= 1, got {t!r}")
-    a = _elements(A)
-    if not a:
-        raise ValidationError(_EMPTY)
-    return tuple(t * v for v in a)
+    _require_positive_int(t, "dilation factor")
+    return _weighted_sums([(_read_int_set(A), t)])
 
 
 def iterated_sumset(k: int, B) -> tuple[int, ...]:
     """kB = B + B + ... + B with k summands, k >= 1."""
-    if not _is_positive_int(k):
-        raise ValidationError(f"number of summands must be an integer >= 1, got {k!r}")
-    return _weighted_sums([(_elements(B), 1)] * k)
+    _require_positive_int(k, "number of summands")
+    return _weighted_sums([(_read_int_set(B), 1)] * k)
 
 
 @dataclass(frozen=True)
@@ -140,14 +124,11 @@ class DilateSpec:
     s: tuple[int, ...]
 
     def __post_init__(self):
-        try:
-            coeffs = tuple(self.s)
-        except TypeError:
-            raise ValidationError("a dilate spec takes a sequence of coefficients") from None
+        coeffs = _read_sequence(self.s, "a dilate spec takes a sequence of coefficients")
         if not coeffs:
             raise ValidationError("a dilate spec needs at least one coefficient")
-        if not all(map(_is_positive_int, coeffs)):
-            raise ValidationError("dilate coefficients must be integers >= 1")
+        for c in coeffs:
+            _require_positive_int(c, "dilate coefficients")
         object.__setattr__(self, "s", coeffs)
 
     @property
@@ -159,7 +140,7 @@ def sum_of_dilates(spec, A) -> tuple[int, ...]:
     """s1*A + s2*A + ... + sl*A for the given coefficients."""
     if not isinstance(spec, DilateSpec):
         spec = DilateSpec(spec)
-    a = _elements(A)
+    a = _read_int_set(A)
     return _weighted_sums([(a, c) for c in spec.s])
 
 
@@ -185,9 +166,9 @@ class TriangleResult:
 
 def ruzsa_triangle_check(A, B, C) -> TriangleResult:
     """Difference-set triangle inequality: |A-C|*|B| <= |A-B|*|B-C|."""
-    a, c = _elements(A), _elements(C)
+    a, c = _read_int_set(A), _read_int_set(C)
     n_ac = _count_sums([(a, 1), (c, -1)])
-    b = _elements(B)
+    b = _read_int_set(B)
     lhs = n_ac * len(b)
     rhs = _count_sums([(a, 1), (b, -1)]) * _count_sums([(b, 1), (c, -1)])
     return TriangleResult(lhs=lhs, rhs=rhs, holds=lhs <= rhs)
@@ -205,9 +186,8 @@ class PlunneckeResult:
 
 
 def plunnecke_check(A, B, k: int) -> PlunneckeResult:
-    if not _is_positive_int(k):
-        raise ValidationError(f"iterated sumset order must be an integer >= 1, got {k!r}")
-    a, b = _elements(A), _elements(B)
+    _require_positive_int(k, "iterated sumset order")
+    a, b = _read_int_set(A), _read_int_set(B)
     n_ab = _count_sums([(a, 1), (b, 1)])
     n_kb = _count_sums([(b, 1)] * k)
     n_a = len(a)
@@ -233,14 +213,10 @@ def cs_energy_lower_check(sets: Sequence[tuple[IntegerSet, int]]) -> EnergyLower
     """Cauchy-Schwarz lower bound: E * |c1*A1 + ... + cl*Al| >= (prod |Ai|)^2,
     for IntegerSets Ai and coefficients ci >= 1.  E is the sum of the squared
     counts of one representation function, and the sumset size its support."""
-    try:
-        sets = list(sets)
-        coeffs = tuple(c for _, c in sets)
-    except (TypeError, ValueError):
-        raise ValidationError("cs_energy_lower_check takes (set, coefficient) pairs") from None
+    sets = _read_pairs(sets, "cs_energy_lower_check takes (set, coefficient) pairs")
     if not sets:
         raise ValidationError("at least one (set, coefficient) pair is required")
-    DilateSpec(coeffs)  # validates the coefficients
+    DilateSpec([c for _, c in sets])  # validates the coefficients
     terms, total = _terms(sets)  # validates the sets
     if not total:
         raise ValidationError(_EMPTY)
@@ -300,6 +276,7 @@ def run_inequality_trials(trials: int, seed: int) -> dict:
     report plus the seed reproduces it.
     """
     _require_positive_int(trials, "trial count")
+    _require_int(seed, "seed")
     rng = random.Random(seed)
     counts = {name: 0 for name in CHECK_NAMES}
     failures = []

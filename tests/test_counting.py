@@ -142,6 +142,7 @@ def test_rep_function_matches_brute_product():
         r = rep_function(sets, coeffs)
         assert r.counts == brute_rep([s.elements for s in sets], coeffs)
         assert sum(r.counts.values()) == r.total
+        assert r[max(r.counts) + 1] == 0  # a sum no tuple reaches
 
 
 def _fold(counts, terms):

@@ -1,5 +1,5 @@
-"""Every public entry point checks its set, equation, integers and budget
-through the helpers of `symfree.model`, so a wrong argument ends in a
+"""Every public entry point checks its set, equation, integers, seed and
+budget through the helpers of `symfree.model`, so a wrong argument ends in a
 ValidationError that names it, never in a raw AttributeError or TypeError,
 a misleading BudgetExceededError, or a silent result."""
 
@@ -8,6 +8,8 @@ import re
 import pytest
 
 from symfree import (
+    Equation,
+    IntegerSet,
     ValidationError,
     check_energy_bounds,
     count_all_solutions,
@@ -21,12 +23,15 @@ from symfree import (
     is_solution_free,
     make_set,
     parse_equation,
+    random_restarts,
     ruzsa_digit_set,
     run_bound_report,
+    run_inequality_trials,
     run_rn_table,
     solution_report,
+    sumset,
 )
-from symfree.counting import WorkBudget
+from symfree.counting import RepFunction, WorkBudget
 from symfree.search import build_hypergraph
 
 EQ = parse_equation("1,1")
@@ -82,26 +87,59 @@ CASES = {
         lambda: build_hypergraph(10, "1,1"), "expected an Equation, got str"),
     "build_hypergraph(10, eq, budget=2.0)": (
         lambda: build_hypergraph(10, EQ, budget=2.0), "budget must be an integer, got 2.0"),
+    "build_hypergraph(2**63, eq, budget=10**40)": (
+        lambda: build_hypergraph(2**63, EQ, budget=10**40),
+        r"domain bound N must be below 2\^63"),
+    "random_restarts(10, eq, 3, 'x')": (
+        lambda: random_restarts(10, EQ, 3, "x"), "seed must be an integer, got 'x'"),
+    "random_restarts(10, eq, 3, 1.5)": (
+        lambda: random_restarts(10, EQ, 3, 1.5), "seed must be an integer, got 1.5"),
     # experiments
     "run_rn_table('1,1', 10)": (
         lambda: run_rn_table("1,1", 10), "expected an Equation, got str"),
     "run_rn_table(eq, 10, node_budget=1.5)": (
         lambda: run_rn_table(EQ, 10, node_budget=1.5),
         "node budget must be an integer, got 1.5"),
+    "run_rn_table(eq, 12, node_budget=5, seed=1.5)": (
+        lambda: run_rn_table(EQ, 12, node_budget=5, seed=1.5), "seed must be an integer, got 1.5"),
     "run_bound_report('1,1', [A])": (
         lambda: run_bound_report("1,1", [A]), "expected an Equation, got str"),
     "run_bound_report(eq, [[1, 2]])": (
         lambda: run_bound_report(EQ, [[1, 2]]), "expected an IntegerSet, got list"),
+    "run_bound_report(eq, 5)": (
+        lambda: run_bound_report(EQ, 5), "bound report takes a sequence of sets"),
+    "run_inequality_trials(1, 1.5)": (
+        lambda: run_inequality_trials(1, 1.5), "seed must be an integer, got 1.5"),
+    "run_inequality_trials(1, (1, 2))": (
+        lambda: run_inequality_trials(1, (1, 2)), r"seed must be an integer, got \(1, 2\)"),
+    "run_inequality_trials(1, [1])": (
+        lambda: run_inequality_trials(1, [1]), r"seed must be an integer, got \[1\]"),
     # construct
     "greedy_solution_free(10, '1,1')": (
         lambda: greedy_solution_free(10, "1,1"), "expected an Equation, got str"),
     "greedy_solution_free(10, eq, budget=1.5)": (
         lambda: greedy_solution_free(10, EQ, budget=1.5), "budget must be an integer, got 1.5"),
+    "greedy_solution_free(10, eq, order='shuffle', seed=None)": (
+        lambda: greedy_solution_free(10, EQ, order="shuffle", seed=None),
+        "seed must be an integer, got None"),
     "ruzsa_digit_set((2, 2, 100))": (
         lambda: ruzsa_digit_set((2, 2, 100)), "expected a RuzsaParams, got tuple"),
     # model
     "make_set(5, 10)": (
         lambda: make_set(5, 10), "expected a set of integers, got int"),
+    "Equation((1, 1.5))": (lambda: Equation((1, 1.5)), "coefficient 1.5 is not an integer"),
+    "Equation(5)": (lambda: Equation(5), "an equation takes a sequence of coefficients"),
+    "IntegerSet((1,), 1.5)": (
+        lambda: IntegerSet((1,), 1.5), "domain bound must be an integer, got 1.5"),
+    "IntegerSet((1.5,), 3)": (lambda: IntegerSet((1.5,), 3), "element 1.5 is not an integer"),
+    "IntegerSet(5, 3)": (lambda: IntegerSet(5, 3), "an IntegerSet takes a sequence of elements"),
+    # setops
+    "sumset([1, 2.5], [1])": (lambda: sumset([1, 2.5], [1]), "element 2.5 is not an integer"),
+    # representation functions
+    "RepFunction({1: 0}, 0)": (
+        lambda: RepFunction({1: 0}, 0), "representation counts must be positive"),
+    "RepFunction({1: 2}, 3)": (
+        lambda: RepFunction({1: 2}, 3), "representation counts must sum to the total"),
     # budgets
     "WorkBudget(1.5)": (lambda: WorkBudget(1.5), "budget must be an integer, got 1.5"),
     "WorkBudget(True)": (lambda: WorkBudget(True), "budget must be an integer, got True"),
