@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -60,12 +61,16 @@ def _real(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _load_set(path: str, n_override: int | None):
+def _read_file(path: str, kind: str) -> str:
+    """The text of an input file; a leading UTF-8 byte-order mark is dropped."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
-        raise ValidationError(f"cannot read set file {path}: {exc}") from exc
-    values = parse_set_text(text)
+        raise ValidationError(f"cannot read {kind} file {path}: {exc}") from exc
+
+
+def _load_set(path: str, n_override: int | None):
+    values = parse_set_text(_read_file(path, "set"))
     if n_override is not None:
         bound = n_override
     else:
@@ -131,7 +136,15 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _search_json(args, eq, res) -> dict:
+def _cmd_search(args) -> int:
+    eq = parse_equation(args.eq)
+    # Without --budget each mode keeps its own default: a node count for
+    # the exact search, work units for each greedy scan.
+    budget = {} if args.budget is None else {"budget": args.budget}
+    if args.mode == "exact":
+        res = exact_max_solution_free(args.N, eq, **budget)
+    else:
+        res = random_restarts(args.N, eq, trials=args.trials, seed=args.seed, **budget)
     out = {
         "N": args.N,
         "eq": eq.text(),
@@ -142,19 +155,7 @@ def _search_json(args, eq, res) -> dict:
     }
     if args.timing:
         out["time_ms"] = res.time_ms
-    return out
-
-
-def _cmd_search(args) -> int:
-    eq = parse_equation(args.eq)
-    # Without --budget each mode keeps its own default: a node count for
-    # the exact search, work units for each greedy scan.
-    budget = {} if args.budget is None else {"budget": args.budget}
-    if args.mode == "exact":
-        res = exact_max_solution_free(args.N, eq, **budget)
-    else:
-        res = random_restarts(args.N, eq, trials=args.trials, seed=args.seed, **budget)
-    print(json.dumps(_search_json(args, eq, res)))
+    print(json.dumps(out))
     return EXIT_OK
 
 
@@ -202,16 +203,7 @@ def _cmd_table_rn(args) -> int:
         seed=args.seed,
     )
     if args.json:
-        out = [
-            {
-                "N": r.N,
-                "size": r.size,
-                "exact": r.exact,
-                "witness": list(r.witness),
-            }
-            for r in rows
-        ]
-        print(json.dumps(out))
+        print(json.dumps([dataclasses.asdict(r) for r in rows]))
         return EXIT_OK
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["N", "size", "exact", "witness"])
@@ -231,15 +223,11 @@ def _is_number(cell: str) -> bool:
 
 
 def _read_points(path: str) -> list[tuple[int, int]]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot read points file {path}: {exc}") from exc
     points = []
-    rows = list(csv.reader(text.splitlines()))
+    rows = list(csv.reader(_read_file(path, "points").splitlines()))
     if not rows:
         raise ValidationError("points file is empty")
-    header = rows[0]
+    header = [cell.strip() for cell in rows[0]]
     col_n, col_size = 0, 1
     start = 0
     if not any(map(_is_number, header[:2])):
@@ -274,42 +262,46 @@ def build_parser() -> argparse.ArgumentParser:
         description="Solution-free sets for symmetric linear equations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Options shared by several subcommands, each defined once; argparse
+    # lists a parent's options before the subcommand's own.
+    eq = argparse.ArgumentParser(add_help=False)
+    eq.add_argument("--eq", required=True, help="comma-separated coefficients")
+    one_set = argparse.ArgumentParser(add_help=False)
+    one_set.add_argument("--set", required=True, help="set file (ints or JSON array)")
+    n_override = argparse.ArgumentParser(add_help=False)
+    n_override.add_argument("--N", type=int, default=None, help="domain bound override")
+    units = argparse.ArgumentParser(add_help=False)
+    units.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--trials", type=int, default=40)
+    seeded.add_argument("--seed", type=int, default=0)
 
     p_construct = sub.add_parser("construct", help="build named set families")
     construct_sub = p_construct.add_subparsers(dest="family", required=True)
     p_ruzsa = construct_sub.add_parser(
-        "ruzsa", help="digit-restricted solution-free set"
+        "ruzsa", help="digit-restricted solution-free set", parents=[units]
     )
     p_ruzsa.add_argument("--d", type=int, required=True, help="digit cap")
     p_ruzsa.add_argument("--k", type=int, required=True, help="equation arity")
     p_ruzsa.add_argument("--N", type=int, required=True, help="domain bound")
-    p_ruzsa.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_ruzsa.set_defaults(func=_cmd_construct_ruzsa)
 
-    p_count = sub.add_parser("count", help="exact solution counts")
+    set_options = [eq, one_set, n_override, units]
+    p_count = sub.add_parser("count", help="exact solution counts", parents=set_options)
     p_count.add_argument("what", choices=["energy", "solutions", "distinct"])
-    p_count.add_argument("--eq", required=True, help="comma-separated coefficients")
-    p_count.add_argument("--set", required=True, help="set file (ints or JSON array)")
-    p_count.add_argument("--N", type=int, default=None, help="domain bound override")
     p_count.add_argument(
         "--method",
         choices=["enumerate", "inclusion_exclusion"],
         default="inclusion_exclusion",
     )
-    p_count.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_count.set_defaults(func=_cmd_count)
 
-    p_verify = sub.add_parser("verify", help="verify set properties")
+    p_verify = sub.add_parser("verify", help="verify set properties", parents=set_options)
     p_verify.add_argument("property", choices=["solution-free"])
-    p_verify.add_argument("--eq", required=True)
-    p_verify.add_argument("--set", required=True)
-    p_verify.add_argument("--N", type=int, default=None)
-    p_verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_search = sub.add_parser("search", help="maximum solution-free subsets")
+    p_search = sub.add_parser("search", help="maximum solution-free subsets", parents=[eq, seeded])
     p_search.add_argument("mode", choices=["exact", "heuristic"])
-    p_search.add_argument("--eq", required=True)
     p_search.add_argument("--N", type=int, required=True)
     p_search.add_argument(
         "--budget",
@@ -318,8 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"exact: nodes (default {DEFAULT_NODE_BUDGET}); "
         f"heuristic: work units per scan (default {DEFAULT_BUDGET})",
     )
-    p_search.add_argument("--trials", type=int, default=40)
-    p_search.add_argument("--seed", type=int, default=0)
     p_search.add_argument("--timing", action="store_true")
     p_search.set_defaults(func=_cmd_search)
 
@@ -329,21 +319,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_ineq.add_argument("--trials", type=int, default=1000)
     p_ineq.add_argument("--seed", type=int, default=0)
     p_ineq.set_defaults(func=_cmd_check_inequalities)
-    p_bounds = check_sub.add_parser("bounds", help="energy bound report")
-    p_bounds.add_argument("--eq", required=True)
+    p_bounds = check_sub.add_parser(
+        "bounds", help="energy bound report", parents=[eq, n_override, units]
+    )
     p_bounds.add_argument("--set", action="append", required=True)
-    p_bounds.add_argument("--N", type=int, default=None)
-    p_bounds.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_bounds.set_defaults(func=_cmd_check_bounds)
 
     p_table = sub.add_parser("table", help="experiment tables")
     table_sub = p_table.add_subparsers(dest="table", required=True)
-    p_rn = table_sub.add_parser("rn", help="largest solution-free sizes per N")
-    p_rn.add_argument("--eq", required=True)
+    p_rn = table_sub.add_parser(
+        "rn", help="largest solution-free sizes per N", parents=[eq, seeded]
+    )
     p_rn.add_argument("--N", type=int, required=True, help="largest N in the table")
     p_rn.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
-    p_rn.add_argument("--trials", type=int, default=40)
-    p_rn.add_argument("--seed", type=int, default=0)
     p_rn.add_argument("--json", action="store_true", help="JSON rows (default CSV)")
     p_rn.set_defaults(func=_cmd_table_rn)
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -8,7 +9,7 @@ import tracemalloc
 import pytest
 
 from symfree import parse_equation, predicted_exponent
-from symfree.cli import main
+from symfree.cli import build_parser, main
 
 
 @pytest.fixture
@@ -86,6 +87,16 @@ def test_count_accepts_json_set_file(capsys, set_file):
     assert code == 0
     data = json.loads(out)
     assert (data["N"], data["size"]) == (7, 3)
+
+
+@pytest.mark.parametrize("text", ["1\n2\n5\n7\n", "[1, 2, 5, 7]"], ids=["lines", "json"])
+def test_count_reads_a_set_file_after_a_byte_order_mark(capsys, tmp_path, text):
+    outs = []
+    for name, prefix in (("plain.txt", ""), ("bom.txt", "\ufeff")):
+        (tmp_path / name).write_text(prefix + text, encoding="utf-8")
+        argv = ["count", "energy", "--eq", "1,1", "--set", str(tmp_path / name)]
+        outs.append(run_cli(capsys, argv))
+    assert outs[1] == outs[0] == (0, '{"eq": "1,1", "N": 7, "size": 4, "E": 28}\n', "")
 
 
 def test_verify_free_and_not_free(capsys, set_file):
@@ -219,6 +230,19 @@ def test_fit_from_csv(capsys, tmp_path):
     assert data["slope"] == pytest.approx(0.5, abs=1e-9)
     assert data["r_squared"] == pytest.approx(1.0, abs=1e-9)
     assert data["n_points"] == 3
+
+
+@pytest.mark.parametrize("header", ["size, N", "\ufeffsize,N"], ids=["spaced", "bom"])
+def test_fit_finds_header_columns_by_name(capsys, tmp_path, header):
+    # The columns are named in the other order; points on N^(1/2) must fit
+    # slope 0.5, where swapped columns would fit 2.
+    p = tmp_path / "points.csv"
+    p.write_text(f"{header}\n2,4\n3,9\n5,25\n6,36\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, ["fit", "--points", str(p)])
+    assert code == 0
+    data = json.loads(out)
+    assert data["slope"] == pytest.approx(0.5, abs=1e-9)
+    assert data["n_points"] == 4
 
 
 def test_fit_headerless_and_bad_rows(capsys, tmp_path):
@@ -572,3 +596,94 @@ def test_hostile_inputs_exit_cleanly(capsys, monkeypatch, tmp_path, argv):
         (tmp_path / name).write_text(text, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     _assert_exits_cleanly(capsys, argv)
+
+
+# Each subcommand's arguments: kind of action, type, default, required flag
+# and choices.  Pinned so that regrouping the shared options in
+# `build_parser` cannot drop or change one.
+STORE, APPEND, FLAG = "_StoreAction", "_AppendAction", "_StoreTrueAction"
+BUDGET = (STORE, int, 10**9, False, None)
+SUBCOMMAND_ARGUMENTS = {
+    "construct ruzsa": {
+        "--d": (STORE, int, None, True, None),
+        "--k": (STORE, int, None, True, None),
+        "--N": (STORE, int, None, True, None),
+        "--budget": BUDGET,
+    },
+    "count": {
+        "what": (STORE, None, None, True, ["energy", "solutions", "distinct"]),
+        "--eq": (STORE, None, None, True, None),
+        "--set": (STORE, None, None, True, None),
+        "--N": (STORE, int, None, False, None),
+        "--method": (
+            STORE, None, "inclusion_exclusion", False, ["enumerate", "inclusion_exclusion"]
+        ),
+        "--budget": BUDGET,
+    },
+    "verify": {
+        "property": (STORE, None, None, True, ["solution-free"]),
+        "--eq": (STORE, None, None, True, None),
+        "--set": (STORE, None, None, True, None),
+        "--N": (STORE, int, None, False, None),
+        "--budget": BUDGET,
+    },
+    "search": {
+        "mode": (STORE, None, None, True, ["exact", "heuristic"]),
+        "--eq": (STORE, None, None, True, None),
+        "--N": (STORE, int, None, True, None),
+        "--budget": (STORE, int, None, False, None),
+        "--trials": (STORE, int, 40, False, None),
+        "--seed": (STORE, int, 0, False, None),
+        "--timing": (FLAG, None, False, False, None),
+    },
+    "check inequalities": {
+        "--trials": (STORE, int, 1000, False, None),
+        "--seed": (STORE, int, 0, False, None),
+    },
+    "check bounds": {
+        "--eq": (STORE, None, None, True, None),
+        "--set": (APPEND, None, None, True, None),
+        "--N": (STORE, int, None, False, None),
+        "--budget": BUDGET,
+    },
+    "table rn": {
+        "--eq": (STORE, None, None, True, None),
+        "--N": (STORE, int, None, True, None),
+        "--budget": (STORE, int, 5 * 10**6, False, None),
+        "--trials": (STORE, int, 40, False, None),
+        "--seed": (STORE, int, 0, False, None),
+        "--json": (FLAG, None, False, False, None),
+    },
+    "fit": {"--points": (STORE, None, None, True, None)},
+}
+
+
+def _subcommands(parser, path=()):
+    """Each leaf subcommand's name and parser."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {" ".join(path): parser}
+    leaves = {}
+    for name, child in subs[0].choices.items():
+        leaves.update(_subcommands(child, (*path, name)))
+    return leaves
+
+
+def test_every_subcommand_is_pinned():
+    assert sorted(_subcommands(build_parser())) == sorted(SUBCOMMAND_ARGUMENTS)
+
+
+@pytest.mark.parametrize("command", SUBCOMMAND_ARGUMENTS)
+def test_subcommand_help_and_arguments(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command.split(), "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: symfree {command} [-h]")
+    arguments = {
+        (a.option_strings[0] if a.option_strings else a.dest): (
+            type(a).__name__, a.type, a.default, a.required, a.choices
+        )
+        for a in _subcommands(build_parser())[command]._actions
+        if not isinstance(a, argparse._HelpAction)
+    }
+    assert arguments == SUBCOMMAND_ARGUMENTS[command]
