@@ -65,7 +65,7 @@ def _read_file(path: str, kind: str) -> str:
     """The text of an input file; a leading UTF-8 byte-order mark is dropped."""
     try:
         return Path(path).read_text(encoding="utf-8-sig")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {kind} file {path}: {exc}") from exc
 
 
@@ -227,13 +227,13 @@ def _read_points(path: str) -> list[tuple[int, int]]:
     rows = list(csv.reader(_read_file(path, "points").splitlines()))
     if not rows:
         raise ValidationError("points file is empty")
-    header = [cell.strip() for cell in rows[0]]
+    header = [cell.strip().lower() for cell in rows[0]]
     col_n, col_size = 0, 1
     start = 0
     if not any(map(_is_number, header[:2])):
         start = 1
-        if "N" in header and "size" in header:
-            col_n, col_size = header.index("N"), header.index("size")
+        if "n" in header and "size" in header:
+            col_n, col_size = header.index("n"), header.index("size")
     for row in rows[start:]:
         if not row:
             continue

@@ -578,16 +578,23 @@ def _half_sum_pairs(
     A half-tuple is k distinct values in the k slots of `a`, increasing
     across slots that share a coefficient; two disjoint ones with equal sums
     are a distinct-valued solution.  Every half-tuple is listed as k index
-    columns and sorted by its sum, and only entries of equal sum are
-    compared: pass d compares each entry with the one d places later in its
-    run, and the entries still in a run at pass d are a subset of those at
-    pass d - 1.  A pass yields a row per pair: the k indices into `elements`
-    of one half-tuple, then the other's.  k·max|a|·max(elements) bounds
-    every sum.  k + 3 units per half-tuple, one per array it is held in
-    (k index columns, sums, sort order, sorted sums), plus
-    `_OBJECT_SUM_UNITS` for Python int sums, are charged before anything is
-    listed; 2k + 2 units per entry in a run before the first pass gathers;
-    and each pass's comparisons before they are made.
+    columns (int32 while n^k < 2^31) and sorted by its sum, and only entries
+    of equal sum are compared: pass d compares each entry with the one d
+    places later in its run, and the entries still in a run at pass d are a
+    subset of those at pass d - 1.  A pass yields a row per pair: the k
+    indices into `elements` of one half-tuple, then the other's.
+    k·max|a|·max(elements) bounds every sum.
+
+    Routes are chosen once per call.  While the int64 sums' span and an
+    index fit in 63 bits together, one in-place sort of the keys
+    (sum - min) << b | index gives the order and the sorted sums, and a run
+    is in index order; otherwise `argsort` does.  Up to 64 elements a pair
+    is disjoint when the uint64 bit masks of its indices AND to 0; past 64
+    the k² pairs of index columns are compared.  k + 3 units per half-tuple
+    (index columns, key, order, mask), plus `_OBJECT_SUM_UNITS` for Python
+    int sums, are charged before anything is listed; 2k + 2 units per entry
+    in a run before the first pass gathers; and each pass's comparisons
+    before they are made.
     """
     n = len(elements)
     slots = sorted(a)  # slots sharing a coefficient become adjacent
@@ -595,51 +602,88 @@ def _half_sum_pairs(
         return
     dtype = int_dtype(len(slots) * max(map(abs, slots)) * elements[-1])
     budget.spend(_half_tuple_units(n, slots, dtype is object))
-    vals = np.array(elements, dtype=dtype)
+    # n^k bounds the length of every list of partial rows.
+    index = np.int32 if n ** len(slots) < 1 << 31 else np.int64
     cols: list[np.ndarray] = []
     for j, c in enumerate(slots):
         # Each row so far extends by every index from lo up, lo being one
-        # past its index in a tied previous slot; indices already in the
-        # row are then dropped.
+        # past its index in a tied previous slot, else 0; indices already
+        # in the row are then dropped.
         if j and slots[j - 1] == c:
             lo = cols[-1] + 1
+            reps = n - lo
+            cols = [np.repeat(col, reps) for col in cols]
+            starts = (np.cumsum(reps) - reps - lo).astype(index)
+            new = np.arange(len(cols[0]), dtype=index) - np.repeat(starts, reps)
         else:
-            lo = np.zeros(len(cols[0]) if cols else 1, dtype=np.int32)
-        reps = n - lo
-        row = np.repeat(np.arange(len(lo)), reps)
-        new = np.arange(len(row)) - np.repeat(np.cumsum(reps) - reps - lo, reps)
-        cols = [col[row] for col in cols]
+            new = np.tile(np.arange(n, dtype=index), len(cols[0]) if cols else 1)
+            cols = [np.repeat(col, n) for col in cols]
         keep = np.ones(len(new), dtype=bool)
         for col in cols:
             keep &= col != new
-        cols = [col[keep] for col in cols + [new.astype(np.int32)]]
-    del lo, reps, row, new, keep  # 17 bytes a half-tuple, else kept to the end
-    sums = np.zeros(len(cols[0]), dtype=vals.dtype)
-    for c, col in zip(slots, cols):
-        sums += c * vals[col]
-    order = np.argsort(sums)
-    sums = sums[order]
-    budget.spend(len(sums) - 1)
+        cols = [col[keep] for col in cols + [new]]
+    del new, keep  # 5 bytes a half-tuple, else kept to the end
+    terms = [c * np.array(elements, dtype=dtype) for c in slots]
+    sums = terms[0][cols[0]]
+    for term, col in zip(terms[1:], cols[1:]):
+        sums += term[col]
+    size, b = len(sums), (len(sums) - 1).bit_length()  # b: bits of an index
+    least = 0 if dtype is object else int(sums.min())
+    if dtype is not object and (int(sums.max()) - least).bit_length() + b < 64:
+        sums -= least
+        sums <<= b
+        sums |= np.arange(size)
+        sums.sort()
+        order = sums & ((1 << b) - 1)
+        sums >>= b
+    else:
+        order = np.argsort(sums)
+        sums = sums[order]
+    budget.spend(size - 1)
     live = np.flatnonzero(sums[:-1] == sums[1:])
-    # A pass gathers two indices per entry in a run and, per disjoint pair,
-    # a row stacked from 2k gathered columns.  Later passes gather subsets
-    # of the first one's entries, and each pass frees its arrays, so the
-    # first one's charge covers them all.
+    # A pass gathers two masks or indices per entry in a run and, per
+    # disjoint pair, a row of 2k indices; the masks are built in two words
+    # per entry in a run.  Later passes gather subsets of the first one's
+    # entries and free their arrays, so the first one's charge covers all.
     budget.spend((2 * len(slots) + 2) * live.size)
+    masks = None
+    if live.size and n <= 64:
+        in_run = np.zeros(size, dtype=bool)
+        in_run[live] = in_run[live + 1] = True
+        at, held = order[in_run], 0
+        for col in cols:
+            held |= np.left_shift(1, col[at], dtype=np.uint64, casting="unsafe")
+        masks = np.zeros(size, dtype=np.uint64)  # 0 outside the runs
+        masks[in_run] = held
+        del in_run, at, held
     d = 1
     while live.size:
-        first, second = order[live], order[live + d]
-        disjoint = np.ones(live.size, dtype=bool)
-        for x in cols:
-            xs = x[first]
-            for y in cols:
-                disjoint &= xs != y[second]
+        if masks is None:
+            first, second = order[live], order[live + d]
+            disjoint = np.ones(live.size, dtype=bool)
+            for x in cols:
+                xs = x[first]
+                for y in cols:
+                    disjoint &= xs != y[second]
+            del first, second, xs
+        else:
+            disjoint = masks[live]
+            disjoint &= masks[live + d]
+            disjoint = disjoint == 0
         if disjoint.any():
-            first, second = first[disjoint], second[disjoint]
-            yield np.stack([x[first] for x in cols] + [y[second] for y in cols], axis=1)
-        del first, second, disjoint, xs
+            hits = live[disjoint]
+            first, second = order[hits], order[hits + d]
+            del hits
+            # Filled column by column: stacking would hold 2k gathered
+            # columns beside the rows.
+            pairs = np.empty((len(first), 2 * len(cols)), dtype=index)
+            for j, x in enumerate(cols):
+                pairs[:, j], pairs[:, len(cols) + j] = x[first], x[second]
+            del first, second
+            yield pairs
+            del pairs
         d += 1
-        live = live[live < len(sums) - d]
+        live = live[: np.searchsorted(live, size - d)]  # live ascends
         budget.spend(live.size)
         live = live[sums[live] == sums[live + d]]
 

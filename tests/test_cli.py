@@ -232,7 +232,9 @@ def test_fit_from_csv(capsys, tmp_path):
     assert data["n_points"] == 3
 
 
-@pytest.mark.parametrize("header", ["size, N", "\ufeffsize,N"], ids=["spaced", "bom"])
+@pytest.mark.parametrize(
+    "header", ["size, N", "\ufeffsize,N", "size,n", "SIZE,N"], ids=["spaced", "bom", "lower", "upper"]
+)
 def test_fit_finds_header_columns_by_name(capsys, tmp_path, header):
     # The columns are named in the other order; points on N^(1/2) must fit
     # slope 0.5, where swapped columns would fit 2.
@@ -243,6 +245,37 @@ def test_fit_finds_header_columns_by_name(capsys, tmp_path, header):
     data = json.loads(out)
     assert data["slope"] == pytest.approx(0.5, abs=1e-9)
     assert data["n_points"] == 4
+
+
+def test_fit_reads_an_unknown_header_by_position(capsys, tmp_path):
+    # A header that names neither column is skipped, and the columns are
+    # read as N, then size.
+    p = tmp_path / "points.csv"
+    p.write_text("bound,largest\n4,2\n9,3\n25,5\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, ["fit", "--points", str(p)])
+    assert code == 0
+    data = json.loads(out)
+    assert data["slope"] == pytest.approx(0.5, abs=1e-9)
+    assert data["n_points"] == 3
+
+
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (["count", "energy", "--eq", "1,1", "--set"], "set"),
+        (["verify", "solution-free", "--eq", "1,1", "--set"], "set"),
+        (["check", "bounds", "--eq", "1,1", "--set"], "set"),
+        (["fit", "--points"], "points"),
+    ],
+    ids=["count", "verify", "bounds", "fit"],
+)
+def test_undecodable_input_file_exits_2(capsys, tmp_path, argv, kind):
+    # A file that is not UTF-8 is refused like one that cannot be opened.
+    p = tmp_path / "bad.txt"
+    p.write_bytes(b"\xff\xfe1\n")
+    code, out, err = run_cli(capsys, argv + [str(p)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {kind} file {p}: ") and err.count("\n") == 1
 
 
 def test_fit_headerless_and_bad_rows(capsys, tmp_path):

@@ -2,7 +2,9 @@ import itertools
 import math
 import random
 import tracemalloc
+from collections import defaultdict
 
+import numpy as np
 import pytest
 
 from oracles import brute_counts, brute_rep
@@ -25,6 +27,7 @@ from symfree.counting import (
     _DENSE_SPAN_CAP,
     _DENSE_WORK_FLOOR,
     WorkBudget,
+    _half_sum_pairs,
     _half_sums_collide,
     _rep_counts,
     _search_witness,
@@ -703,6 +706,8 @@ def _sidon(p):
         "join interval object",
         "join sparse int64",
         "join sparse object",
+        "join masks interval",
+        "join masks sparse",
     ],
 )
 def test_peak_bytes_per_unit(monkeypatch, case):
@@ -712,7 +717,13 @@ def test_peak_bytes_per_unit(monkeypatch, case):
 
     monkeypatch.setattr(counting_mod, "_zero_count", lambda A, coeffs, budget, memo: 0)
     shift = 1 << 70 if case.endswith("object") else 0
-    if "interval" in case:
+    if case == "join masks interval":
+        elements = tuple(range(1, 65))  # nearly every half-tuple in a run
+    elif case == "join masks sparse":
+        # One collision among 1,830 half-tuples: only its run is masked.
+        s = _sidon(61)
+        elements = tuple(sorted(s[:60] + [s[0] + s[3] - s[1]]))
+    elif "interval" in case:
         elements = tuple(v + shift for v in range(1, 201 if shift else 401))
     else:
         elements = tuple(v + shift for v in _sidon(211 if shift else 499))
@@ -728,6 +739,81 @@ def test_peak_bytes_per_unit(monkeypatch, case):
     finally:
         tracemalloc.stop()
     assert peak <= 8 * wb.used, (peak, wb.used)
+
+
+def _brute_half_sum_pairs(elements, a):
+    """Every unordered pair of disjoint half-tuples (as index tuples in
+    sorted slot order) with equal sums, by listing all of them."""
+    slots = sorted(a)
+    by_sum = defaultdict(list)
+    for t in itertools.permutations(range(len(elements)), len(slots)):
+        if all(t[j] < t[j + 1] for j in range(len(t) - 1) if slots[j] == slots[j + 1]):
+            by_sum[sum(c * elements[i] for c, i in zip(slots, t))].append(t)
+    return {
+        frozenset((x, y))
+        for run in by_sum.values()
+        for x, y in itertools.combinations(run, 2)
+        if not set(x) & set(y)
+    }
+
+
+@pytest.fixture
+def argsort_calls(monkeypatch):
+    """A list that gains an entry at each `np.argsort` call: the join's
+    route for sums it cannot pack."""
+    calls = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *args, **kw: calls.append(1) or argsort(*args, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("n", [12, 64, 65, 80])
+@pytest.mark.parametrize("base", [0, 1 << 60, 1 << 62], ids=["packed", "wide", "object"])
+def test_half_sum_pairs_match_brute_force(argsort_calls, n, base):
+    # Half the members are small and half sit just above `base`, so sums
+    # collide on both sides; with base 2^60 the span is too wide to pack
+    # with the index, and with 2^62 the sums are Python ints.  Sets of at
+    # most 64 members compare masks, larger ones index columns.
+    rng = random.Random(n * 7 + base.bit_length())
+    coefficient_lists = [(1, 1), (1, -2), (2, 3), (-1, -1), (1, 2, 2), (1, -1, 3)]
+    for a in coefficient_lists if n <= 12 else coefficient_lists[:4]:
+        while True:
+            small = rng.sample(range(1, 3 * n), n // 2)
+            large = rng.sample(range(1, 3 * n), n - n // 2)
+            elements = tuple(sorted({*small, *(base + v for v in large)}))
+            if len(elements) == n:
+                break
+        k = len(a)
+        rows = [tuple(map(int, r)) for p in _half_sum_pairs(elements, a, WorkBudget()) for r in p]
+        got = {frozenset((r[:k], r[k:])) for r in rows}
+        assert len(got) == len(rows)
+        assert got == _brute_half_sum_pairs(elements, a), (n, base, a)
+    assert bool(argsort_calls) == bool(base)
+
+
+@pytest.mark.parametrize(
+    "elements, a, full, early, packed",
+    [
+        (tuple(range(1, 65)), (1, 1), 43777, 23441, True),
+        (tuple(range(1, 101)), (1, 1), 137842, 58217, True),
+        # A span of about 3 * 2^60 leaves too few bits for the index.
+        ((*range(1, 31), *((1 << 60) + v for v in range(1, 31))), (1, -2), 60247, 40367, False),
+        (tuple(v + (1 << 70) for v in range(1, 101)), (1, 1), 187342, 107717, False),
+    ],
+    ids=["packed masks", "packed compares", "wide masks", "object compares"],
+)
+def test_half_sum_pairs_charges_pinned(argsort_calls, elements, a, full, early, packed):
+    # The units of a full run and of a run stopped at its first nonempty
+    # pass.  Each route charges what a join that always argsorts and
+    # compares index columns charges, at the same points.
+    wb = WorkBudget()
+    for _ in _half_sum_pairs(elements, a, wb):
+        pass
+    assert wb.used == full
+    wb = WorkBudget()
+    assert _half_sums_collide(elements, a, wb)
+    assert wb.used == early
+    assert bool(argsort_calls) != packed
 
 
 def test_is_solution_free_examples():

@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import json
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -208,6 +210,35 @@ def test_exact_max_node_counts_pinned():
         res = exact_max_solution_free(n, parse_equation(eq_text))
         assert res.exact
         assert (res.size, res.nodes_explored) == want
+
+
+# (equation, N): sha256 of json.dumps(rows) and nodes explored, recorded at
+# commit 440cf7b.  The rows pin every row's witness, not only its size; a
+# change that moves node counts on purpose re-pins them.
+WITNESS_PINS = {
+    ("1,1", 50): ("563485916ca5d1b153a1420105533f75dfc081c6740e85d997bd362c7e5c19bb", 46809),
+    ("-1,-1", 40): ("08ca3d2f0c59c4f09a2053164b6303f6fe1a1702abddd1499fbfc90784971d04", 7589),
+    ("1,-1", 40): ("08ca3d2f0c59c4f09a2053164b6303f6fe1a1702abddd1499fbfc90784971d04", 7589),
+    ("1,1,-1", 30): ("00e2dfce9e607b7fe8c6e10cdb2283c94f985738bfb6f240f8fced7a4016fa15", 10504),
+    ("1,1,1", 32): ("52899f7e7f11a7185221d690bfd9a56c2bbd358d32a9d4de94211c7ccd3976d9", 14022),
+    ("1,1,1,1", 16): ("12963319ad2efb4a385b1f620978ab49cbe8dbc34e3e6ad8695c77869af9b212", 1005),
+    ("1,2", 40): ("d84c4c16460e81b0aedb0cdc4173f9f49e356ab8e1acf4776be4c3ece5e31443", 13721),
+    ("1,-2", 30): ("459a00a0686e37d1934acbb0faacc4289e94ae8d054a239f4647bcd48f9f1ff9", 2089),
+    ("3,-5", 30): ("a89552d10e1c1b77a19bdf66ed6186da8f209eddbb6c8f213e8eecc67dd60e41", 5098),
+    ("2,-1,3", 20): ("6d62a6926121abcfcbaa132f74c76fb0045cd6a04852c34618578fa643aaeb3c", 1622),
+    ("1,1,2", 24): ("4a9bdb32b4162c24f3b25b7537f555d18b7c689471d92c1046614c7cff7bec40", 3724),
+    ("1,16", 40): ("a17e63e581935ddd8b03af0b75923c77e347924fa2e36bca52f50572195c9798", 120087),
+    ("1,2,2", 24): ("5db1c5b5cb075149e4f0b9f6660d598687cbf44bed33f531e4925a4baed7e876", 5268),
+    ("1,2,3", 24): ("2d2bc07d10eb7f34bead777d49e9b17d465f6edaf7ce9c9c53265c6e0ea6c828", 4056),
+}
+
+
+@pytest.mark.parametrize("eq_text, n", list(WITNESS_PINS), ids=lambda v: str(v))
+def test_exact_max_witnesses_pinned(eq_text, n):
+    res = exact_max_solution_free(n, parse_equation(eq_text))
+    assert res.exact
+    digest = hashlib.sha256(json.dumps(res.rows).encode()).hexdigest()
+    assert (digest, res.nodes_explored) == WITNESS_PINS[eq_text, n]
 
 
 def test_hypergraph_edge_counts_pinned():
