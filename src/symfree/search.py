@@ -3,8 +3,9 @@
 A 2k-subset of [1, N] is forbidden when some ordering of its values solves
 the equation; those subsets form a 2k-uniform hypergraph, and solution-free
 sets are exactly its independent sets.  Exact maxima come from a
-Russian-doll branch and bound over that hypergraph, which settles R(v) for
-every v up to N; seeded greedy restarts give heuristic lower bounds.
+Russian-doll branch and bound, which settles R(v) for every v up to N.  It
+blocks candidates from sum bitsets of the chosen set when a / gcd(a) is all
++-1, else from that hypergraph; greedy restarts give lower bounds.
 Energy bounds tie the search back to the counting layer.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import numpy as np
 
@@ -241,103 +242,121 @@ def exact_max_solution_free(
     clique is the node's branching limit: the candidates above it lie in
     fewer cliques than the node needs, so no include above it can reach
     the target.  Mixed coefficients would need a bit test per conflict
-    pair, which costs more than the nodes it saves.
+    pair, which costs more than the nodes it saves.  The search runs on
+    a / gcd(a), whose solution sets are a's, so equal |a_i| take the cover;
+    each witness is re-checked against a.
 
-    The hypergraph's edges are ordered by their largest vertex once, and
-    row v files the triggers of the edges topped by v, from one numpy pass
-    over their vertex masks, just before it is searched; a table cut short
-    by the node budget files nothing for the rows it does not reach.
-    Entries outlive their row: removing them costs more than keeping them,
-    and none can fire where it does not hold (see `trig` below).
+    Including w blocks each candidate b > w that would complete a
+    forbidden 2k-set with w and the chosen set.  A +-1 equation reads them
+    from the cover's two bitsets, `lo >> w | hi >> (N - w)`: exactly those
+    b, as the bitsets sum over injective maps into the chosen set.  A mixed
+    one looks them up in `trig`: the hypergraph's edges are ordered by their
+    largest vertex once, and row v files the triggers of the edges topped by
+    v, from one numpy pass over their vertex masks, just before it is
+    searched.  Entries outlive their row: removing them costs more than
+    keeping them, and none can fire where it does not hold (see `trig`).
 
     A node builds its state only once its bounds pass.  It is entered with
-    its parent's state (the subset masks the triggers are looked up by, and
-    the sum bitsets) and its new member.  It first tests its lowest
-    candidate against the candidate count and the Russian-doll cap, then
-    covers its candidates from the two bitsets the conflicts read, grown by
-    the new member alone as plain ints.  Only a node that survives both
-    grows its subset masks and the other bitsets; most children the cover
-    prunes never do.
+    its parent's chosen set as an int mask, the parent's sum bitsets (+-1)
+    or subset masks (mixed), and its new member.  It first tests its lowest
+    candidate against the candidate count and the Russian-doll cap; a +-1
+    node then covers its candidates from the two bitsets the conflicts
+    read, grown by the new member alone as plain ints.  Only a node that
+    passes its bounds grows the rest of its state, so most children the
+    cover prunes never do.
     """
     _require_types((eq, Equation))
     _require_int(budget, "node budget")
     t0 = time.perf_counter()
     n_rest = 2 * eq.k - 2
-    # Edges ordered by their top vertex: block v, edges[tops[v]:tops[v + 1]],
-    # holds those whose largest vertex is v.
+    g = gcd(*eq.a)
+    search_eq = Equation(tuple(c // g for c in eq.a))
+    unit = set(search_eq.a) <= {-1, 1}
+    # +-1 equations read no edges: the build stays for its subset budget
+    # alone, until mixed equations block from sum bitsets too.
     edges = build_hypergraph(N, eq).rows
-    edges = edges[np.argsort(edges[:, -1], kind="stable")]
-    tops = [0, *np.bincount(edges[:, -1], minlength=N + 1).cumsum().tolist()]
-    # Bit masks of vertices fit uint64 below N = 64, Python ints past it.
-    one = np.uint64(1) if N < 64 else 1
-    wide = np.uint64 if N < 64 else object
-    # trig[w] maps a mask of n_rest chosen vertices to the vertices blocked
-    # once w joins them: an edge is completed only by its last vertex in
-    # branching order, which is blocked when the one before it is included.
-    # Each edge (rest, a, b, v) files two entries before row v: trig[a] at
-    # rest | v blocks b, for row v, where v is chosen throughout and b comes
-    # last; trig[b] at rest | a blocks v, for every later row.  Neither is
-    # removed.  The first key holds v, which no other row chooses before a;
-    # the second blocks only v, which row v holds already.
-    trig: list[dict[int, int]] = [{} for _ in range(N + 1)]
-    # A new entry holds one of these masks itself, not a copy of it.
-    bit = [1 << u for u in range(N + 1)]
-    rows = [tuple(range(1, m + 1)) for m in range(1, min(N, n_rest + 1) + 1)]
-    unit = set(eq.a) <= {-1, 1}
-    D1 = None
     if unit:
-        empty, updates, minus, plus, offset = _unit_sums(eq, N)
+        del edges
+        empty, updates, minus, plus, offset = _unit_sums(search_eq, N)
         D1 = _grow_sums(empty, updates, 1)
+    else:
+        # Edges ordered by their top vertex: block v,
+        # edges[tops[v]:tops[v + 1]], holds those whose largest vertex is v.
+        edges = edges[np.argsort(edges[:, -1], kind="stable")]
+        tops = [0, *np.bincount(edges[:, -1], minlength=N + 1).cumsum().tolist()]
+        # Bit masks of vertices fit uint64 below N = 64, Python ints past it.
+        one = np.uint64(1) if N < 64 else 1
+        wide = np.uint64 if N < 64 else object
+        # trig[w] maps a mask of n_rest chosen vertices to the vertices
+        # blocked once w joins them: an edge is completed only by its last
+        # vertex in branching order, which is blocked when the one before
+        # it is included.  Each edge (rest, a, b, v) files two entries
+        # before row v: trig[a] at rest | v blocks b, for row v, where v is
+        # chosen throughout and b comes last; trig[b] at rest | a blocks v,
+        # for every later row.  Neither is removed.  The first key holds v,
+        # which no other row chooses before a; the second blocks only v,
+        # which row v holds already.
+        trig: list[dict[int, int]] = [{} for _ in range(N + 1)]
+        # A new entry holds one of these masks itself, not a copy of it.
+        bit = [1 << u for u in range(N + 1)]
+    rows = [tuple(range(1, m + 1)) for m in range(1, min(N, n_rest + 1) + 1)]
     nodes = 0
     exact = True
     target = 0
     cap: list[int] = []
 
-    def rec(avail: int, levels: list[list[int]], D: dict | None, low: int) -> int:
-        # The node whose chosen set is the parent's plus `low`, avail its
-        # candidates.  levels[j] holds the masks of the (j+1)-subsets of the
-        # parent's set, so levels[0] holds its vertices; D holds its sum
-        # bitsets, or None.  The node grows both only once its bounds pass.
+    def rec(avail: int, chosen: int, state: dict | list, low: int) -> int:
+        # The node whose chosen set is the mask `chosen` plus `low`, avail
+        # its candidates.  `state` is the parent's sum bitsets (+-1) or its
+        # subset masks, state[j] holding the (j+1)-subsets' (mixed); the
+        # node grows it only once its bounds pass.
         nonlocal nodes
         nodes += 1
         if nodes > budget:
             raise _OutOfNodes
-        need = target - len(levels[0]) - 1
+        need = target - chosen.bit_count() - 1
         if avail.bit_count() < need or cap[(avail & -avail).bit_length() - 1] < need:
             return 0
         if need == 1:
-            return sum(levels[0]) | low | avail & -avail
+            return chosen | low | avail & -avail
+        chosen |= low
         limit = v
-        if D is not None:
+        if unit:
             x = low.bit_length() - 1
-            below, above = _grow_top(D, minus, x), _grow_top(D, plus, x)
-            cliques, limit = _clique_cover(avail, need, below >> offset, above >> (offset - N), N)
+            below, above = _grow_top(state, minus, x), _grow_top(state, plus, x)
+            lo, hi = below >> offset, above >> (offset - N)
+            cliques, limit = _clique_cover(avail, need, lo, hi, N)
             if cliques < need:
                 return 0
-            D = _grow_sums(D, updates, x)
-            D[minus[0]], D[plus[0]] = below, above
-        add = low.__or__
-        grown = [[*levels[0], low]]
-        for j in range(1, n_rest):
-            grown.append([*levels[j], *map(add, levels[j - 1])])
+            state = _grow_sums(state, updates, x)
+            state[minus[0]], state[plus[0]] = below, above
+        else:
+            add = low.__or__
+            levels, state = state, [[*state[0], low]]
+            for j in range(1, n_rest):
+                state.append([*levels[j], *map(add, levels[j - 1])])
         while avail:
             low = avail & -avail
             w = low.bit_length() - 1
             if w > limit or cap[w] < need or avail.bit_count() < need:
                 return 0
             avail ^= low
-            get = trig[w].get
-            blocked = 0
-            for rest_mask in grown[-1]:
-                bits = get(rest_mask)
-                if bits:
-                    blocked |= bits
+            if unit:
+                # The conflicts of w that the clique cover reads.
+                blocked = lo >> w | hi >> (N - w)
+            else:
+                get = trig[w].get
+                blocked = 0
+                for rest_mask in state[-1]:
+                    bits = get(rest_mask)
+                    if bits:
+                        blocked |= bits
             child = avail & ~blocked
-            if len(grown[0]) == 2:
-                # Reflection x -> v + 1 - x: the gap after 1 is no larger
-                # than the gap before v.
+            if need == target - 2:
+                # Reflection x -> v + 1 - x at {1, v}: the gap after 1 is no
+                # larger than the gap before v.
                 child &= (1 << (v + 2 - w)) - 1
-            hit = rec(child, grown, D, low)
+            hit = rec(child, chosen, state, low)
             if hit:
                 return hit
         return 0
@@ -346,27 +365,28 @@ def exact_max_solution_free(
         for v in range(len(rows) + 1, N + 1):
             prev = rows[-1]
             target = len(prev) + 1
-            bit_v = bit[v]
-            block = edges[tops[v] : tops[v + 1]]
-            masks = one << block[:, :-2].astype(wide)  # rest, then a
-            rest = np.bitwise_or.reduce(masks[:, :-1], axis=1)
-            for a, b, row_key, later_key in zip(
-                block[:, -3].tolist(),
-                block[:, -2].tolist(),
-                (rest | bit_v).tolist(),
-                (rest | masks[:, -1]).tolist(),
-            ):
-                d = trig[a]
-                d[row_key] = d[row_key] | bit[b] if row_key in d else bit[b]
-                d = trig[b]
-                d[later_key] = d[later_key] | bit_v if later_key in d else bit_v
-            if not has_distinct_solution_using(make_set(prev, v), eq, v):
+            bit_v = 1 << v
+            if not unit:
+                block = edges[tops[v] : tops[v + 1]]
+                masks = one << block[:, :-2].astype(wide)  # rest, then a
+                rest = np.bitwise_or.reduce(masks[:, :-1], axis=1)
+                for a, b, row_key, later_key in zip(
+                    block[:, -3].tolist(),
+                    block[:, -2].tolist(),
+                    (rest | bit_v).tolist(),
+                    (rest | masks[:, -1]).tolist(),
+                ):
+                    d = trig[a]
+                    d[row_key] = d[row_key] | bit[b] if row_key in d else bit[b]
+                    d = trig[b]
+                    d[later_key] = d[later_key] | bit_v if later_key in d else bit_v
+            if not has_distinct_solution_using(make_set(prev, v), search_eq, v):
                 found = prev + (v,)
             else:
                 cap = [0, 0] + [len(rows[v - w]) - 1 for w in range(2, v)]
-                # The root: {1, v}, grown from the state of {1}.
-                levels = [[2]] + [[] for _ in range(n_rest - 1)]
-                hit = rec(bit_v - 4, levels, D1, bit_v)
+                # The root: {1, v}, entered with the state of {1}.
+                root = D1 if unit else [[2]] + [[] for _ in range(n_rest - 1)]
+                hit = rec(bit_v - 4, 2, root, bit_v)
                 found = bit_positions(hit) if hit else None
             if found and (len(found) != target or not is_solution_free(make_set(found, v), eq)):
                 raise InvariantViolation(

@@ -1,12 +1,18 @@
 import argparse
+import contextlib
+import io
 import json
 import math
+import pathlib
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from symfree import parse_equation, predicted_exponent
 from symfree.cli import build_parser, main
@@ -128,6 +134,23 @@ def test_search_exact(capsys):
 
     code, out, _ = run_cli(capsys, ["search", "exact", "--eq", "1,1", "--N", "12", "--timing"])
     assert "time_ms" in json.loads(out)
+
+
+def test_search_exact_equal_magnitudes_print_the_unit_rows(capsys):
+    # 2,2 has 1,1's solution sets, so it searches as 1,1: the same rows,
+    # witness and node count, with the equation printed as given.
+    code, out, err = run_cli(capsys, ["search", "exact", "--eq", "2,2", "--N", "40"])
+    assert code == 0 and err == ""
+    assert json.loads(out) == {
+        "N": 40,
+        "eq": "2,2",
+        "size": 9,
+        "exact": True,
+        "witness": [1, 2, 3, 5, 9, 16, 25, 30, 35],
+        "nodes_explored": 7589,
+    }
+    tables = [run_cli(capsys, ["table", "rn", "--eq", eq, "--N", "40"]) for eq in ("2,2", "1,1")]
+    assert tables[0] == tables[1] and tables[0][0] == 0
 
 
 def test_search_heuristic(capsys):
@@ -720,3 +743,83 @@ def test_subcommand_help_and_arguments(capsys, command):
         if not isinstance(a, argparse._HelpAction)
     }
     assert arguments == SUBCOMMAND_ARGUMENTS[command]
+
+
+# Drawn commands for the no-traceback property: every subcommand's own
+# arguments, each value small or hostile, and input files of drawn bytes.
+def _mostly(valid, hostile):
+    """Draws from `valid` seven times in eight, so that most commands parse."""
+    return st.integers(0, 7).flatmap(lambda i: hostile if i == 7 else valid)
+
+
+_DRAWN_INTS = _mostly(
+    st.integers(-2, 24).map(str),
+    st.sampled_from(["", "x", "1.5", "0x10", "1e3", " 7", "-0", "٣", str(10**30)]),
+)
+_DRAWN_VALUES = {
+    "--eq": st.sampled_from(
+        ["1,1", "1,-1", "2,2", "1,2,2", "3,-3,3", "1,1,1,1", "3,-5", "1,2,3",
+         "1", "1,0", "", "a,b", "1,,1", " 1, 2", f"1,{10**30}"]
+    ),
+    "--set": st.sampled_from(["f0", "f1", "missing"]),
+    "--points": st.sampled_from(["f0", "f1", "missing"]),
+    "--trials": _mostly(st.integers(-1, 3).map(str), st.sampled_from(["", "x"])),
+    "--seed": _mostly(st.integers(-5, 5).map(str), st.sampled_from([str(10**30), "x"])),
+    "--budget": _mostly(st.integers(-1, 10**4).map(str), st.sampled_from(["", "x", str(10**30)])),
+}
+_DRAWN_NUMBERS = _mostly(st.integers(1, 40), st.integers(-3, 0) | st.just(2**70))
+_DRAWN_SET_TEXT = st.lists(_DRAWN_NUMBERS, max_size=10).flatmap(
+    lambda vs: st.sampled_from(
+        ["\n".join(map(str, vs)), ",".join(map(str, vs)), " ".join(map(str, vs)), json.dumps(vs)]
+    )
+)
+_DRAWN_POINTS_TEXT = st.tuples(
+    st.sampled_from(["", "N,size\n", "size,n\n", "x,y\n"]),
+    st.lists(st.tuples(_DRAWN_NUMBERS, _mostly(_DRAWN_NUMBERS, st.just(1.5))), max_size=6),
+).map(lambda t: t[0] + "".join(f"{a},{b}\n" for a, b in t[1]))
+_DRAWN_FILE = st.binary(max_size=40) | st.tuples(
+    st.sampled_from([b"", b"\xef\xbb\xbf"]), _DRAWN_SET_TEXT | _DRAWN_POINTS_TEXT
+).map(lambda t: t[0] + t[1].encode())
+
+
+@st.composite
+def _drawn_argv(draw):
+    command = draw(st.sampled_from(sorted(SUBCOMMAND_ARGUMENTS)))
+    argv = command.split()
+    for name, (kind, _, _, required, choices) in SUBCOMMAND_ARGUMENTS[command].items():
+        if not draw(st.integers(0, 9).map(lambda i: i < 9) if required else st.booleans()):
+            continue
+        if kind == FLAG:
+            argv.append(name)
+            continue
+        if choices:
+            value = draw(_mostly(st.sampled_from(choices), st.just("bogus")))
+        else:
+            value = draw(_DRAWN_VALUES.get(name, _DRAWN_INTS))
+        argv.extend([value] if not name.startswith("--") else [name, value])
+    if draw(st.integers(0, 7)) == 7:
+        argv.append(draw(st.sampled_from(["--bogus", "--N", "--", "-1", "extra"])))
+    return argv
+
+
+@given(argv=_drawn_argv(), files=st.lists(_DRAWN_FILE, min_size=2, max_size=2))
+def test_drawn_commands_never_end_in_a_traceback(argv, files):
+    # Nothing escapes main but argparse's usage exit, every exit is 0, 2 or
+    # 3, and a nonzero exit from main writes exactly one error line.
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, data in enumerate(files):
+            pathlib.Path(tmp, f"f{i}").write_bytes(data)
+        argv = [str(pathlib.Path(tmp, a)) if a in ("f0", "f1", "missing") else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's own usage errors
+                assert exc.code == 2
+                assert "error:" in err.getvalue().splitlines()[-1]
+                return
+    assert code in (0, 2, 3)
+    if code:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error:")
+    else:
+        assert err.getvalue() == ""

@@ -3,13 +3,14 @@ half-sum join, the witness walk, the exact R(N) rows, the one-value check
 and the solution counts over signed and repeated coefficients, and the set
 sums over signed sets."""
 
+import functools
 import itertools
 import math
 import random
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from oracles import (
@@ -187,6 +188,12 @@ def test_one_added_value_matches_oracle(eq, candidates, pick):
     assert has_distinct_solution_using(A, eq, value) == expected
 
 
+@functools.lru_cache(maxsize=None)
+def _hypergraph_rows(eq):
+    """The forbidden 2k-subsets of [1, 14], built once per equation."""
+    return build_hypergraph(14, eq).edges
+
+
 def _node_state(eq, N, S):
     """The sum bitsets of S as the exact search grows them, and the two
     conflict bitsets pre-shifted as the clique cover reads them."""
@@ -198,10 +205,9 @@ def _node_state(eq, N, S):
     return D, D[minus[0]] >> offset, D[plus[0]] >> (offset - N)
 
 
-@given(unit_equations, st.lists(st.integers(1, 14), min_size=2, max_size=14, unique=True))
-def test_clique_cover_bounds_the_free_extensions(eq, values):
-    # A free set S kept greedily from the drawn values, and some of the
-    # values it did not keep as the candidates.
+def _greedy_keep(eq, values):
+    """A free set S kept greedily from the drawn values, and the values it
+    did not keep, in drawn order."""
     full = eq.full_coefficients()
     S, rest = [], []
     for v in values:
@@ -209,6 +215,14 @@ def test_clique_cover_bounds_the_free_extensions(eq, values):
             S.append(v)
         else:
             rest.append(v)
+    return S, rest
+
+
+@given(unit_equations, st.lists(st.integers(1, 14), min_size=2, max_size=14, unique=True))
+def test_clique_cover_bounds_the_free_extensions(eq, values):
+    # Some of the values S did not keep are the candidates.
+    full = eq.full_coefficients()
+    S, rest = _greedy_keep(eq, values)
     candidates = rest[: 7 if eq.k == 2 else 4]
     _, below, above = _node_state(eq, 14, S)
     for u in candidates:
@@ -230,6 +244,26 @@ def test_clique_cover_bounds_the_free_extensions(eq, values):
             if w > limit:
                 above_w = [c for c in candidates if c >= w]
                 assert brute_max_joining(S, above_w, full) < need
+
+
+@given(
+    unit_equations,
+    st.lists(st.integers(1, 14), min_size=1, max_size=14, unique=True),
+    st.integers(1, 14),
+)
+def test_unit_blocking_matches_the_filed_triggers(eq, values, w):
+    # Including w in the search blocks, from the sum bitsets of S, exactly
+    # the candidates b > w that the hypergraph's triggers would block: those
+    # for which some forbidden 2k-set inside S + {w, b} holds both w and b.
+    S, _ = _greedy_keep(eq, values)
+    assume(w not in S)
+    _, below, above = _node_state(eq, 14, S)
+    blocked = below >> w | above >> (14 - w)
+    rows = [set(row) for row in _hypergraph_rows(eq)]
+    for b in range(w + 1, 15):
+        if b not in S:
+            completes = any({w, b} <= row <= {*S, w, b} for row in rows)
+            assert bool(blocked >> b & 1) == completes
 
 
 @given(unit_equations, st.sets(st.integers(1, 14), max_size=8), st.integers(1, 14))

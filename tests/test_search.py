@@ -205,6 +205,9 @@ def test_exact_max_node_counts_pinned():
         # and 1,1,1, so they take the same cover from signed input.
         ("1,-1", 30): (8, 992),
         ("1,1,-1", 30): (9, 10504),
+        # Where blocking from the sum bitsets saves most over the triggers.
+        ("1,1,1", 40): (9, 77499),
+        ("1,1,1,1", 22): (9, 7594),
     }
     for (eq_text, n), want in expected.items():
         res = exact_max_solution_free(n, parse_equation(eq_text))
@@ -213,8 +216,9 @@ def test_exact_max_node_counts_pinned():
 
 
 # (equation, N): sha256 of json.dumps(rows) and nodes explored, recorded at
-# commit 440cf7b.  The rows pin every row's witness, not only its size; a
-# change that moves node counts on purpose re-pins them.
+# commit 440cf7b, and at 4326499 for 1,1,1 N=40 and 1,1,1,1 N=22.  The rows
+# pin every row's witness, not only its size; a change that moves node
+# counts on purpose re-pins them.
 WITNESS_PINS = {
     ("1,1", 50): ("563485916ca5d1b153a1420105533f75dfc081c6740e85d997bd362c7e5c19bb", 46809),
     ("-1,-1", 40): ("08ca3d2f0c59c4f09a2053164b6303f6fe1a1702abddd1499fbfc90784971d04", 7589),
@@ -222,6 +226,8 @@ WITNESS_PINS = {
     ("1,1,-1", 30): ("00e2dfce9e607b7fe8c6e10cdb2283c94f985738bfb6f240f8fced7a4016fa15", 10504),
     ("1,1,1", 32): ("52899f7e7f11a7185221d690bfd9a56c2bbd358d32a9d4de94211c7ccd3976d9", 14022),
     ("1,1,1,1", 16): ("12963319ad2efb4a385b1f620978ab49cbe8dbc34e3e6ad8695c77869af9b212", 1005),
+    ("1,1,1", 40): ("77d938996b67605ae07224233bfdc228c2910624c5ac2db699f6f78a009e8db4", 77499),
+    ("1,1,1,1", 22): ("61f90fe7dd00f16e229723ff6f6e18cec1fc1c2472451f9613ba19cba17cde10", 7594),
     ("1,2", 40): ("d84c4c16460e81b0aedb0cdc4173f9f49e356ab8e1acf4776be4c3ece5e31443", 13721),
     ("1,-2", 30): ("459a00a0686e37d1934acbb0faacc4289e94ae8d054a239f4647bcd48f9f1ff9", 2089),
     ("3,-5", 30): ("a89552d10e1c1b77a19bdf66ed6186da8f209eddbb6c8f213e8eecc67dd60e41", 5098),
@@ -239,6 +245,25 @@ def test_exact_max_witnesses_pinned(eq_text, n):
     assert res.exact
     digest = hashlib.sha256(json.dumps(res.rows).encode()).hexdigest()
     assert (digest, res.nodes_explored) == WITNESS_PINS[eq_text, n]
+
+
+@pytest.mark.parametrize("text, reduced, n", [("2,2", "1,1", 40), ("-3,3,3", "1,1,1", 24)])
+def test_equal_magnitudes_search_as_their_unit_form(monkeypatch, text, reduced, n):
+    # a / g has a's solution sets, so equal |a_i| take the clique cover and
+    # give the reduced form's rows and nodes; each witness is re-checked
+    # against the equation given.
+    eq = parse_equation(text)
+    want = exact_max_solution_free(n, parse_equation(reduced))
+    checked = set()
+
+    def recheck(A, check_eq, **kw):
+        checked.add(check_eq)
+        return is_solution_free(A, check_eq, **kw)
+
+    monkeypatch.setattr(search_mod, "is_solution_free", recheck)
+    res = exact_max_solution_free(n, eq)
+    assert res.exact and (res.rows, res.nodes_explored) == (want.rows, want.nodes_explored)
+    assert checked == {eq}
 
 
 def test_hypergraph_edge_counts_pinned():
