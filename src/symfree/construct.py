@@ -159,41 +159,44 @@ def _drop(C: tuple[int, ...], *cs: int) -> tuple[int, ...]:
     return tuple(rest)
 
 
-def _sum_bitset_plan(tops: list[tuple[int, ...]]) -> tuple[set, list]:
+def _sum_bitset_plan(tops: list[tuple[int, ...]]) -> tuple[list, list]:
     """The keys of the sub-multiset sum bitsets a caller keeps to read D[C]
     for each C in `tops`, and how one added value grows them.
 
     Multisets of coefficients are sorted tuples, and D[C] holds every sum of
     c*s over injective maps of C's slots into the set, at a bit offset that
     keeps every index positive.  The keys are `tops` and every multiset
-    reached from them by dropping coefficients, down to (), whose one sum
-    is 0.  Each update (C, parts) pairs a nonempty key with (c, C - {c})
-    for each distinct c in C: a new value x fills at most one slot of a
-    map, so D[C] gains D[C - {c}] shifted by c*x.
+    reached from them by dropping coefficients, in sorted order, so that
+    keys[0] is (), whose one sum is 0; the bitsets are a list in that
+    order.  Each update (i, parts) pairs a nonempty keys[i] with (c, j) for
+    each distinct c in it, keys[j] = keys[i] - {c}: a new value x fills at
+    most one slot of a map, so D[i] gains D[j] shifted by c*x.
     """
-    keys: set[tuple[int, ...]] = set()
+    found: set[tuple[int, ...]] = set()
     todo = list(tops)
     while todo:
         C = todo.pop()
-        if C not in keys:
-            keys.add(C)
+        if C not in found:
+            found.add(C)
             todo.extend(_drop(C, c) for c in set(C))
+    keys = sorted(found)
+    index = {C: i for i, C in enumerate(keys)}
     updates = [
-        (C, [(c, _drop(C, c)) for c in sorted(set(C))]) for C in sorted(keys) if C
+        (i, [(c, index[_drop(C, c)]) for c in sorted(set(C))]) for i, C in enumerate(keys) if C
     ]
     return keys, updates
 
 
-def _grow_sums(D: dict, updates: list, x: int) -> dict:
-    """The bitsets of `_sum_bitset_plan` once x joins the set, as a new dict;
+def _grow_sums(D: list, updates: list, x: int) -> list:
+    """The bitsets of `_sum_bitset_plan` once x joins the set, as a new list;
     every update reads the old bitsets in D."""
-    grown = dict(D)
-    for C, parts in updates:
-        bits = D[C]
-        for c, sub in parts:
+    grown = D.copy()
+    for i, parts in updates:
+        bits = D[i]
+        for c, j in parts:
             s = c * x
-            bits |= D[sub] << s if s > 0 else D[sub] >> -s
-        grown[C] = bits
+            bits |= D[j] << s if s > 0 else D[j] >> -s
+        grown[i] = bits
     return grown
 
 
@@ -231,6 +234,7 @@ def greedy_solution_free(
     full = tuple(sorted(eq.full_coefficients()))
     tests = [(c, _drop(full, c)) for c in sorted(set(full)) if c > 0]
     keys, updates = _sum_bitset_plan([rest for _, rest in tests])
+    tests = [(c, keys.index(rest)) for c, rest in tests]
     offset = eq.norm1 * N
     words = 2 * offset // 64 + 1
     wb = WorkBudget(budget)
@@ -238,8 +242,7 @@ def greedy_solution_free(
     candidates = list(range(1, N + 1))
     if order == "shuffle":
         random.Random(seed).shuffle(candidates)
-    D = dict.fromkeys(keys, 0)
-    D[()] = 1 << offset
+    D = [1 << offset] + [0] * (len(keys) - 1)
     shifts = sum(len(parts) for _, parts in updates)
     chosen: list[int] = []
     for x in candidates:

@@ -4,8 +4,8 @@ A 2k-subset of [1, N] is forbidden when some ordering of its values solves
 the equation; those subsets form a 2k-uniform hypergraph, and solution-free
 sets are exactly its independent sets.  Exact maxima come from a
 Russian-doll branch and bound, which settles R(v) for every v up to N.  It
-blocks candidates from sum bitsets of the chosen set when a / gcd(a) is all
-+-1, else from that hypergraph; greedy restarts give lower bounds.
+blocks candidates from sum bitsets of the chosen set, for every equation;
+greedy restarts give lower bounds.
 Energy bounds tie the search back to the counting layer.
 """
 
@@ -57,7 +57,7 @@ class SolutionHypergraph:
     @property
     def edges(self) -> list[tuple[int, ...]]:
         """The rows as ascending tuples of Python ints, in the same order.
-        Built anew on each read; the search itself reads only `rows`."""
+        Built anew on each read; the exact search reads neither."""
         edges: list[tuple[int, ...]] = []
         # Blocks of rows hold far less than one tolist() of all of them.
         for start in range(0, len(self.rows), 1 << 16):
@@ -140,42 +140,67 @@ class _OutOfNodes(Exception):
     pass
 
 
-def _unit_sums(eq: Equation, N: int):
-    """The pair conflicts of an equation whose coefficients are all +-1, on
-    sets S in [1, N], read from sum bitsets (`construct._sum_bitset_plan`).
+def _blocking_plan(eq: Equation, N: int):
+    """The sum bitsets the exact search blocks its candidates from, on sets
+    S in [1, N], and how it reads them.
 
-    u conflicts with b when S + {u, b} has a solution using both.  Negating
-    a solution puts b at a -1 slot, and u sits at some c = +-1, so
-    b = r - c*u for a sum r of the other slots over S: b is in
-    D[F - {-1, -1}] >> (offset + u) | D[F - {1, -1}] >> (offset - u), the
-    mask `_clique_cover` reads for below = D[F - {-1, -1}] >> offset and
-    above = D[F - {1, -1}] >> (offset - N), as offset = norm1*N >= 2N.
+    Including w blocks b when S + {w, b} has a solution using both.
+    Negating a solution puts b at a negative slot cj of F = a | -a, and w
+    sits at some other slot ci, so ci*w - m*b + r = 0 for m = -cj and a sum
+    r of the other slots over S: bit offset - ci*w + m*b of D[F - {ci, cj}]
+    (`construct._sum_bitset_plan`), as offset = norm1*N.  There is one read
+    (i, ci, m) for each distinct ci and each distinct cj < 0 whose drop
+    leaves a multiset, i indexing the plan's keys.  For +-1 equations they
+    are the two of `_clique_cover`: F - {-1, -1} at -1, then F - {1, -1} at 1.
 
-    Returns the bitsets of the empty set, the update list for
-    `construct._grow_sums` of every other key, the two as (key, parts) for
-    `_grow_top`, and offset.  The two hold the most slots, so no update
-    reads them and they stay empty on a one-element set.
+    Returns the keys, the updates for `construct._grow_sums`, the reads and
+    offset.  The read keys hold the most slots, so no update reads them.
     """
     full = tuple(sorted(eq.full_coefficients()))
-    offset = eq.norm1 * N
-    minus, plus = _drop(full, -1, -1), _drop(full, 1, -1)
-    keys, updates = _sum_bitset_plan([minus, plus])
-    tops = dict(updates)
-    empty = dict.fromkeys(keys, 0)
-    empty[()] = 1 << offset
-    updates = [(C, parts) for C, parts in updates if C not in (minus, plus)]
-    return empty, updates, (minus, tops[minus]), (plus, tops[plus]), offset
+    pairs = [
+        (ci, cj)
+        for ci in sorted(set(full))
+        for cj in sorted({c for c in full if c < 0})
+        if ci != cj or full.count(cj) > 1
+    ]
+    keys, updates = _sum_bitset_plan([_drop(full, ci, cj) for ci, cj in pairs])
+    reads = [(keys.index(_drop(full, ci, cj)), ci, -cj) for ci, cj in pairs]
+    return keys, updates, reads, eq.norm1 * N
 
 
-def _grow_top(D: dict, top: tuple, x: int) -> int:
-    """D[C] once x joins the set, for a pair top = (C, parts) of `_unit_sums`:
-    one step of `construct._grow_sums`' loop, kept here as its fast path for
-    c = +-1, where the shift by c*x is a shift by x, since the generic step
-    slows every node of the search."""
-    C, parts = top
-    bits = D[C]
-    for c, sub in parts:
-        bits |= D[sub] << x if c > 0 else D[sub] >> x
+def _combs(reads: list, N: int) -> dict[int, int]:
+    """For each m > 1 of the reads, the bits m*q for q = 1..N."""
+    return {m: sum(1 << m * q for q in range(1, N + 1)) for _, _, m in reads if m > 1}
+
+
+def _blocked(D: list, reads: list, combs: dict, offset: int, w: int) -> int:
+    """The candidates that including w blocks, on a set whose sum bitsets
+    are D: its bits above w are the b > w that `_blocking_plan`'s reads
+    find.  A read at m = 1 is one shift; at m > 1 the comb of `_combs`
+    picks out the bits m*q, q >= 1, each of which blocks b = w + q."""
+    low = 1 << w
+    blocked = 0
+    for i, c, m in reads:
+        if m == 1:
+            blocked |= D[i] >> (offset - c * w)
+            continue
+        hits = D[i] >> (offset + (m - c) * w) & combs[m]
+        while hits:
+            p = hits.bit_length() - 1
+            blocked |= low << p // m
+            hits ^= 1 << p
+    return blocked
+
+
+def _grow_top(D: list, top: tuple, x: int) -> int:
+    """D[i] once x joins the set, for an update top = (i, parts) of a +-1
+    equation's plan: one step of `construct._grow_sums`' loop, kept here as
+    its fast path for c = +-1, where the shift by c*x is a shift by x, since
+    the generic step slows every node of the search."""
+    i, parts = top
+    bits = D[i]
+    for c, j in parts:
+        bits |= D[j] << x if c > 0 else D[j] >> x
     return bits
 
 
@@ -235,7 +260,7 @@ def exact_max_solution_free(
     lexicographically first set of the target size obeys this, since its
     mirror would come earlier.  Clique cover, when every coefficient is
     +-1: the sum bitsets of a node's chosen set give each candidate's pair
-    conflicts (`_unit_sums`).  Each clique of conflicts holds at most one
+    conflicts (`_blocking_plan`).  Each clique of conflicts holds at most one
     more member, so a node still needing more than one value is pruned
     when a greedy cover of its candidates, built from the highest down,
     takes fewer cliques than it needs.  Otherwise the start of its last
@@ -247,23 +272,23 @@ def exact_max_solution_free(
     each witness is re-checked against a.
 
     Including w blocks each candidate b > w that would complete a
-    forbidden 2k-set with w and the chosen set.  A +-1 equation reads them
-    from the cover's two bitsets, `lo >> w | hi >> (N - w)`: exactly those
-    b, as the bitsets sum over injective maps into the chosen set.  A mixed
-    one looks them up in `trig`: the hypergraph's edges are ordered by their
-    largest vertex once, and row v files the triggers of the edges topped by
-    v, from one numpy pass over their vertex masks, just before it is
-    searched.  Entries outlive their row: removing them costs more than
-    keeping them, and none can fire where it does not hold (see `trig`).
+    forbidden 2k-set with w and the chosen set S.  The node reads them from
+    S's sum bitsets (`_blocking_plan`): exactly those b, as the bitsets sum
+    over injective maps into S, so a b is read when S + {w, b} holds a
+    forbidden 2k-set that uses both (`_blocked`).  A +-1 equation's two
+    reads are the cover's bitsets, so it takes `lo >> w | hi >> (N - w)`.
+    Up to N nested nodes each hold a copy of the bitsets, norm1*N bits a
+    key either side of 0.  That is charged to the subset budget at the
+    first row searched, before the bitsets are built, so rows settled by
+    the previous witness plus v build none.
 
     A node builds its state only once its bounds pass.  It is entered with
-    its parent's chosen set as an int mask, the parent's sum bitsets (+-1)
-    or subset masks (mixed), and its new member.  It first tests its lowest
-    candidate against the candidate count and the Russian-doll cap; a +-1
-    node then covers its candidates from the two bitsets the conflicts
-    read, grown by the new member alone as plain ints.  Only a node that
-    passes its bounds grows the rest of its state, so most children the
-    cover prunes never do.
+    its parent's chosen set as an int mask, the parent's sum bitsets and
+    its new member.  It first tests its lowest candidate against the
+    candidate count and the Russian-doll cap; a +-1 node then covers its
+    candidates from the two bitsets its reads take, grown by the new member
+    alone as plain ints.  Only a node that passes its bounds grows the rest
+    of its bitsets, so most children the cover prunes never do.
     """
     _require_types((eq, Equation))
     _require_int(budget, "node budget")
@@ -272,44 +297,28 @@ def exact_max_solution_free(
     g = gcd(*eq.a)
     search_eq = Equation(tuple(c // g for c in eq.a))
     unit = set(search_eq.a) <= {-1, 1}
-    # +-1 equations read no edges: the build stays for its subset budget
-    # alone, until mixed equations block from sum bitsets too.
-    edges = build_hypergraph(N, eq).rows
+    # The search reads no edges: the build stays, first, for its subset
+    # budget alone, so that its charge runs before any bitset is sized.
+    build_hypergraph(N, eq)
+    keys, updates, reads, offset = _blocking_plan(search_eq, N)
     if unit:
-        del edges
-        empty, updates, minus, plus, offset = _unit_sums(search_eq, N)
-        D1 = _grow_sums(empty, updates, 1)
-    else:
-        # Edges ordered by their top vertex: block v,
-        # edges[tops[v]:tops[v + 1]], holds those whose largest vertex is v.
-        edges = edges[np.argsort(edges[:, -1], kind="stable")]
-        tops = [0, *np.bincount(edges[:, -1], minlength=N + 1).cumsum().tolist()]
-        # Bit masks of vertices fit uint64 below N = 64, Python ints past it.
-        one = np.uint64(1) if N < 64 else 1
-        wide = np.uint64 if N < 64 else object
-        # trig[w] maps a mask of n_rest chosen vertices to the vertices
-        # blocked once w joins them: an edge is completed only by its last
-        # vertex in branching order, which is blocked when the one before
-        # it is included.  Each edge (rest, a, b, v) files two entries
-        # before row v: trig[a] at rest | v blocks b, for row v, where v is
-        # chosen throughout and b comes last; trig[b] at rest | a blocks v,
-        # for every later row.  Neither is removed.  The first key holds v,
-        # which no other row chooses before a; the second blocks only v,
-        # which row v holds already.
-        trig: list[dict[int, int]] = [{} for _ in range(N + 1)]
-        # A new entry holds one of these masks itself, not a copy of it.
-        bit = [1 << u for u in range(N + 1)]
+        # The reads' two bitsets grow first, by `_grow_top`; the node grows
+        # the rest once the cover passes.  Of 2k - 2 >= 2 slots, they are
+        # empty on {1}, so the bitsets of {1} need only the rest.
+        tops = dict(updates)
+        minus, plus = ((i, tops[i]) for i, _, _ in reads)
+        updates = [(i, parts) for i, parts in updates if i not in (minus[0], plus[0])]
+    D1: list | None = None  # the bitsets of {1}, built at the first row searched
     rows = [tuple(range(1, m + 1)) for m in range(1, min(N, n_rest + 1) + 1)]
     nodes = 0
     exact = True
     target = 0
     cap: list[int] = []
 
-    def rec(avail: int, chosen: int, state: dict | list, low: int) -> int:
+    def rec(avail: int, chosen: int, state: list, low: int) -> int:
         # The node whose chosen set is the mask `chosen` plus `low`, avail
-        # its candidates.  `state` is the parent's sum bitsets (+-1) or its
-        # subset masks, state[j] holding the (j+1)-subsets' (mixed); the
-        # node grows it only once its bounds pass.
+        # its candidates and `state` the sum bitsets of `chosen`; the node
+        # grows them by `low` only once its bounds pass.
         nonlocal nodes
         nodes += 1
         if nodes > budget:
@@ -321,8 +330,8 @@ def exact_max_solution_free(
             return chosen | low | avail & -avail
         chosen |= low
         limit = v
+        x = low.bit_length() - 1
         if unit:
-            x = low.bit_length() - 1
             below, above = _grow_top(state, minus, x), _grow_top(state, plus, x)
             lo, hi = below >> offset, above >> (offset - N)
             cliques, limit = _clique_cover(avail, need, lo, hi, N)
@@ -331,10 +340,7 @@ def exact_max_solution_free(
             state = _grow_sums(state, updates, x)
             state[minus[0]], state[plus[0]] = below, above
         else:
-            add = low.__or__
-            levels, state = state, [[*state[0], low]]
-            for j in range(1, n_rest):
-                state.append([*levels[j], *map(add, levels[j - 1])])
+            state = _grow_sums(state, updates, x)
         while avail:
             low = avail & -avail
             w = low.bit_length() - 1
@@ -342,15 +348,10 @@ def exact_max_solution_free(
                 return 0
             avail ^= low
             if unit:
-                # The conflicts of w that the clique cover reads.
+                # The two reads, pre-shifted as the cover takes them.
                 blocked = lo >> w | hi >> (N - w)
             else:
-                get = trig[w].get
-                blocked = 0
-                for rest_mask in state[-1]:
-                    bits = get(rest_mask)
-                    if bits:
-                        blocked |= bits
+                blocked = _blocked(state, reads, combs, offset, w)
             child = avail & ~blocked
             if need == target - 2:
                 # Reflection x -> v + 1 - x at {1, v}: the gap after 1 is no
@@ -365,28 +366,19 @@ def exact_max_solution_free(
         for v in range(len(rows) + 1, N + 1):
             prev = rows[-1]
             target = len(prev) + 1
-            bit_v = 1 << v
-            if not unit:
-                block = edges[tops[v] : tops[v + 1]]
-                masks = one << block[:, :-2].astype(wide)  # rest, then a
-                rest = np.bitwise_or.reduce(masks[:, :-1], axis=1)
-                for a, b, row_key, later_key in zip(
-                    block[:, -3].tolist(),
-                    block[:, -2].tolist(),
-                    (rest | bit_v).tolist(),
-                    (rest | masks[:, -1]).tolist(),
-                ):
-                    d = trig[a]
-                    d[row_key] = d[row_key] | bit[b] if row_key in d else bit[b]
-                    d = trig[b]
-                    d[later_key] = d[later_key] | bit_v if later_key in d else bit_v
             if not has_distinct_solution_using(make_set(prev, v), search_eq, v):
                 found = prev + (v,)
             else:
+                if D1 is None:
+                    # Words for N copies of the bitsets and for the combs.
+                    ms = {m for _, _, m in reads if m > 1}
+                    words = len(keys) * (2 * offset // 64 + 1) * N
+                    WorkBudget(DEFAULT_SUBSET_BUDGET).spend(words + sum(m * N // 64 + 1 for m in ms))
+                    combs = _combs(reads, N)
+                    D1 = _grow_sums([1 << offset] + [0] * (len(keys) - 1), updates, 1)
                 cap = [0, 0] + [len(rows[v - w]) - 1 for w in range(2, v)]
-                # The root: {1, v}, entered with the state of {1}.
-                root = D1 if unit else [[2]] + [[] for _ in range(n_rest - 1)]
-                hit = rec(bit_v - 4, 2, root, bit_v)
+                # The root: {1, v}, entered with the bitsets of {1}.
+                hit = rec((1 << v) - 4, 2, D1, 1 << v)
                 found = bit_positions(hit) if hit else None
             if found and (len(found) != target or not is_solution_free(make_set(found, v), eq)):
                 raise InvariantViolation(

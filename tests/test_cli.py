@@ -11,7 +11,7 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symfree import parse_equation, predicted_exponent
@@ -151,6 +151,30 @@ def test_search_exact_equal_magnitudes_print_the_unit_rows(capsys):
     }
     tables = [run_cli(capsys, ["table", "rn", "--eq", eq, "--N", "40"]) for eq in ("2,2", "1,1")]
     assert tables[0] == tables[1] and tables[0][0] == 0
+
+
+def test_search_exact_huge_coefficient_without_solutions(capsys):
+    # 1,10^30 has no solution in [1, 12], so every row is the previous
+    # witness plus v and no sum bitset, 2 * 10^31 bits a key, is built.
+    eq = f"1,{10**30}"
+    code, out, err = run_cli(capsys, ["search", "exact", "--eq", eq, "--N", "12"])
+    assert code == 0 and err == ""
+    assert out == (
+        f'{{"N": 12, "eq": "{eq}", "size": 12, "exact": true, '
+        '"witness": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12], "nodes_explored": 0}\n'
+    )
+
+
+def test_search_exact_charges_the_sum_bitsets(capsys):
+    # Up to N nested nodes hold the sum bitsets, norm1 * N bits a key either
+    # side of 0; 1,1,c,c at N = 12 first charges past the 10^7-unit subset
+    # budget at c = 15867, at its first searched row, before any is built.
+    argv = ["search", "exact", "--N", "12", "--eq"]
+    code, out, err = run_cli(capsys, argv + ["1,1,15866,15866"])
+    assert code == 0 and err == "" and json.loads(out)["size"] == 8
+    code, out, err = run_cli(capsys, argv + ["1,1,15867,15867"])
+    assert code == 3 and out == ""
+    assert err == "error: work budget of 10000000 steps exhausted\n"
 
 
 def test_search_heuristic(capsys):
@@ -508,11 +532,12 @@ def test_construct_ruzsa_budget_option(capsys):
     assert code == 3 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("eq", ["1,1", "1,2,2"])
 @pytest.mark.parametrize("N", [2**63 - 1, 2**63, 10**20])
 @pytest.mark.parametrize(
     "cmd", [["search", "exact"], ["table", "rn", "--budget", "10"]], ids=["search", "table"]
 )
-def test_exact_search_past_int64_exits_3(capsys, monkeypatch, cmd, N):
+def test_exact_search_past_int64_exits_3(capsys, monkeypatch, cmd, N, eq):
     # [1, N] has no C length from 2^63 on; its half-tuples are charged from
     # N itself, so the join never sees it.
     import symfree.search as search_mod
@@ -522,7 +547,7 @@ def test_exact_search_past_int64_exits_3(capsys, monkeypatch, cmd, N):
             raise AssertionError("the join ran on [1, N]")
 
         monkeypatch.setattr(search_mod, "_half_sum_pairs", join)
-    code, out, err = run_cli(capsys, cmd + ["--eq", "1,1", "--N", str(N)])
+    code, out, err = run_cli(capsys, cmd + ["--eq", eq, "--N", str(N)])
     assert code == 3 and out == ""
     assert err == "error: work budget of 10000000 steps exhausted\n"
 
@@ -542,12 +567,12 @@ def test_exact_search_first_n_over_the_subset_budget(capsys, eq, first):
 
 HOSTILE_N = ("0", "-1", str(2**63 - 1), str(2**63), str(10**20))
 HOSTILE_BUDGETS = ("0", "1", str(10**30))
-HOSTILE_EQS = ("1", "1,0", f"1,{10**30}", "1,1,1,1,1,1,1,1")
+HOSTILE_EQS = ("1", "1,0", f"1,{10**30}", "1,1,1,1,1,1,1,1", f"1,1,{10**9},{10**9}")
 
 HOSTILE_ARGS = [
     *(["--eq", "1,1", "--N", n] for n in HOSTILE_N),
     *(["--eq", "1,1", "--N", "12", "--budget", b] for b in HOSTILE_BUDGETS),
-    *(["--eq", eq, "--N", n] for eq, n in zip(HOSTILE_EQS[1:], ("12", "12", "16"))),
+    *(["--eq", eq, "--N", n] for eq, n in zip(HOSTILE_EQS[1:], ("12", "12", "16", "12"))),
 ]
 
 
@@ -823,3 +848,54 @@ def test_drawn_commands_never_end_in_a_traceback(argv, files):
         assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error:")
     else:
         assert err.getvalue() == ""
+
+
+# The budgeted commands on small sets, for the budget-monotone property.
+_BUDGETED_EQS = ["1,1", "1,-1", "2,2", "1,2", "3,-5", "1,1,1", "1,2,2", "1,2,3", "2,-1,3"]
+
+
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# Each example bisects with about 30 calls of main, so fewer examples than
+# the profile's keep the test near 3 s.
+@settings(max_examples=60)
+@given(
+    command=st.sampled_from(_SET_COMMANDS),
+    eq=st.sampled_from(_BUDGETED_EQS),
+    values=st.sets(st.integers(1, 30), min_size=1, max_size=8),
+    data=st.data(),
+)
+def test_budgets_split_at_one_threshold(command, eq, values, data):
+    # Each command has one threshold budget: every budget below it exits 3
+    # with one error line, and every budget from it up exits 0 with the
+    # same output.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp, "set.txt")
+        path.write_text("".join(f"{v}\n" for v in sorted(values)), encoding="utf-8")
+        argv = [*command, "--eq", eq, "--set", str(path), "--budget"]
+
+        def exit_code(budget):
+            return _run_main(argv + [str(budget)])[0]
+
+        hi = 1
+        while exit_code(hi) != 0:
+            assert hi < 10**9
+            hi *= 2
+        lo = hi // 2  # exits nonzero, or is 0
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if exit_code(mid) == 0 else (mid, hi)
+        code, want, err = _run_main(argv + [str(hi)])
+        assert code == 0 and err == ""
+        if hi > 1:
+            for budget in data.draw(st.lists(st.integers(1, hi - 1), min_size=1, max_size=3)):
+                code, out, err = _run_main(argv + [str(budget)])
+                assert code == 3 and out == "", budget
+                assert err.startswith("error:") and err.count("\n") == 1
+        for budget in data.draw(st.lists(st.integers(hi, 4 * hi), min_size=1, max_size=3)):
+            assert _run_main(argv + [str(budget)]) == (0, want, ""), budget

@@ -10,7 +10,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -52,11 +52,13 @@ from symfree.counting import (
     _rep_counts,
     _search_witness,
 )
-from symfree.construct import _drop, _grow_sums, _sum_bitset_plan
+from symfree.construct import _grow_sums
 from symfree.search import (
+    _blocked,
+    _blocking_plan,
     _clique_cover,
+    _combs,
     _grow_top,
-    _unit_sums,
     build_hypergraph,
     exact_max_solution_free,
 )
@@ -190,17 +192,22 @@ def test_one_added_value_matches_oracle(eq, candidates, pick):
 
 @functools.lru_cache(maxsize=None)
 def _hypergraph_rows(eq):
-    """The forbidden 2k-subsets of [1, 14], built once per equation."""
-    return build_hypergraph(14, eq).edges
+    """The forbidden 2k-subsets of [1, 14] as sets, built once per equation."""
+    return [frozenset(row) for row in build_hypergraph(14, eq).edges]
 
 
 def _node_state(eq, N, S):
-    """The sum bitsets of S as the exact search grows them, and the two
-    conflict bitsets pre-shifted as the clique cover reads them."""
-    D, updates, minus, plus, offset = _unit_sums(eq, N)
+    """The sum bitsets of S as the exact search grows them for a +-1
+    equation, and the two conflict bitsets pre-shifted as the clique cover
+    reads them."""
+    keys, updates, reads, offset = _blocking_plan(eq, N)
+    tops = dict(updates)
+    minus, plus = ((i, tops[i]) for i, _, _ in reads)
+    rest = [(i, parts) for i, parts in updates if i not in (minus[0], plus[0])]
+    D = [1 << offset] + [0] * (len(keys) - 1)
     for s in S:
         below, above = _grow_top(D, minus, s), _grow_top(D, plus, s)
-        D = _grow_sums(D, updates, s)
+        D = _grow_sums(D, rest, s)
         D[minus[0]], D[plus[0]] = below, above
     return D, D[minus[0]] >> offset, D[plus[0]] >> (offset - N)
 
@@ -246,39 +253,52 @@ def test_clique_cover_bounds_the_free_extensions(eq, values):
                 assert brute_max_joining(S, above_w, full) < need
 
 
+# More examples than the profile's, as only about half the draws are +-1.
+@settings(max_examples=200)
 @given(
-    unit_equations,
+    unit_equations | small_equations,
     st.lists(st.integers(1, 14), min_size=1, max_size=14, unique=True),
     st.integers(1, 14),
 )
-def test_unit_blocking_matches_the_filed_triggers(eq, values, w):
-    # Including w in the search blocks, from the sum bitsets of S, exactly
-    # the candidates b > w that the hypergraph's triggers would block: those
-    # for which some forbidden 2k-set inside S + {w, b} holds both w and b.
+def test_blocking_matches_the_hypergraph(eq, values, w):
+    # Including w in the search blocks, from the sum bitsets of S read
+    # through the search's plan (m = 1 shifts and m > 1 combs), exactly the
+    # candidates b > w for which some forbidden 2k-set inside S + {w, b}
+    # holds both w and b.  For +-1 equations that mask is the cover's.
     S, _ = _greedy_keep(eq, values)
     assume(w not in S)
-    _, below, above = _node_state(eq, 14, S)
-    blocked = below >> w | above >> (14 - w)
-    rows = [set(row) for row in _hypergraph_rows(eq)]
+    keys, updates, reads, offset = _blocking_plan(eq, 14)
+    D = [1 << offset] + [0] * (len(keys) - 1)
+    for s in S:
+        D = _grow_sums(D, updates, s)
+    blocked = _blocked(D, reads, _combs(reads, 14), offset, w)
+    if set(eq.a) <= {-1, 1}:
+        _, below, above = _node_state(eq, 14, S)
+        assert blocked == below >> w | above >> (14 - w)
+    # The b with {w, b} <= row <= S + {w, b}: the one value outside S + {w}
+    # of a row that holds w.
+    completing = set()
+    for row in _hypergraph_rows(eq):
+        if w in row and len(row - {*S, w}) == 1:
+            completing |= row - {*S, w}
     for b in range(w + 1, 15):
         if b not in S:
-            completes = any({w, b} <= row <= {*S, w, b} for row in rows)
-            assert bool(blocked >> b & 1) == completes
+            assert bool(blocked >> b & 1) == (b in completing)
 
 
 @given(unit_equations, st.sets(st.integers(1, 14), max_size=8), st.integers(1, 14))
 def test_lazily_grown_conflicts_match_the_full_growth(eq, S, x):
     # The two conflict bitsets grown by x straight from S's bitsets, and the
     # node's growth of the rest, equal every bitset of the plan grown by x.
-    full = tuple(sorted(eq.full_coefficients()))
-    keys, plan = _sum_bitset_plan([_drop(full, -1, -1), _drop(full, 1, -1)])
+    keys, plan, reads, _ = _blocking_plan(eq, 14)
     D, _, _ = _node_state(eq, 14, sorted(S - {x}))
-    assert D.keys() == keys
+    assert len(D) == len(keys)
     grown = _grow_sums(D, plan, x)
     assert _node_state(eq, 14, sorted(S | {x}))[0] == grown
-    _, updates, minus, plus, _ = _unit_sums(eq, 14)
-    assert (_grow_top(D, minus, x), _grow_top(D, plus, x)) == (grown[minus[0]], grown[plus[0]])
-    assert {C for C, _ in updates} | {minus[0], plus[0]} == {C for C, _ in plan}
+    tops = dict(plan)
+    assert [_grow_top(D, (i, tops[i]), x) for i, _, _ in reads] == [grown[i] for i, _, _ in reads]
+    # The reads take exactly the plan's two largest keys.
+    assert sorted(keys[i] for i, _, _ in reads) == [C for C in keys if len(C) == 2 * eq.k - 2]
 
 
 def _plain_greedy_cover(avail, need, conflicts):

@@ -194,7 +194,8 @@ def test_exact_max_node_counts_pinned():
         ("1,2,2", 14): (6, 341),
         ("1,-2", 20): (7, 322),
         ("2,-1,3", 11): (5, 141),
-        # The last row whose vertex masks fit uint64, and Python-int masks.
+        # Either side of N = 64, where the candidate masks pass one machine
+        # word: a mixed equation blocking through its m = 16 comb reads.
         ("1,16", 63): (31, 133944),
         ("1,16", 66): (32, 135027),
         # Where the clique cover's branching limit saves most: the end of
@@ -205,7 +206,8 @@ def test_exact_max_node_counts_pinned():
         # and 1,1,1, so they take the same cover from signed input.
         ("1,-1", 30): (8, 992),
         ("1,1,-1", 30): (9, 10504),
-        # Where blocking from the sum bitsets saves most over the triggers.
+        # Long k = 3 and k = 4 searches: every child blocks from the two
+        # bitsets the cover grows first, and the rest grow after it passes.
         ("1,1,1", 40): (9, 77499),
         ("1,1,1,1", 22): (9, 7594),
     }
