@@ -3,7 +3,9 @@ import contextlib
 import io
 import json
 import math
+import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import symfree.cli as cli_mod
 from symfree import parse_equation, predicted_exponent
 from symfree.cli import build_parser, main
 
@@ -363,6 +366,81 @@ def test_closed_stdout_exits_141_quietly():
     proc.stderr.close()
 
 
+def test_closed_stdout_closes_the_devnull_descriptor(monkeypatch):
+    # The descriptor opened on devnull is copied onto stdout's and then
+    # closed; no real descriptor of this process is touched.
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+        def fileno(self):
+            return 99
+
+    calls = []
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    with monkeypatch.context() as m:
+        m.setattr(os, "open", lambda path, flags: calls.append(("open", path)) or 1000)
+        m.setattr(os, "dup2", lambda fd, fd2: calls.append(("dup2", fd, fd2)))
+        m.setattr(os, "close", lambda fd: calls.append(("close", fd)))
+        code = main(["construct", "ruzsa", "--d", "2", "--k", "3", "--N", "144"])
+    assert code == 141
+    assert calls == [("open", os.devnull), ("dup2", 1000, 99), ("close", 1000)]
+
+
+def test_main_builds_its_parser_once(monkeypatch):
+    builds = []
+
+    def counted():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli_mod, "build_parser", counted)
+    cli_mod._parser.cache_clear()
+    try:
+        assert main(["search", "exact", "--eq", "1,1", "--N", "8"]) == 0
+        with pytest.raises(SystemExit):
+            main(["search", "exact", "--eq", "1,1"])
+        assert main(["table", "rn", "--eq", "1,1", "--N", "6"]) == 0
+    finally:
+        cli_mod._parser.cache_clear()
+    assert len(builds) == 1
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    # --timing's wall-clock field is the one figure two runs may differ in.
+    return code, re.sub(r'"time_ms": \d+', '"time_ms": 0', captured.out), captured.err
+
+
+def test_reused_parser_prints_what_a_fresh_one_prints(capsys, monkeypatch, set_file):
+    # Each command follows one that set what it leaves to a default: the
+    # --set list must not accumulate, and --N, --budget, --timing and
+    # --method must not carry over, across a usage error too.
+    a = set_file("a.txt", [1, 2, 5, 7])
+    b = set_file("b.txt", [1, 2, 3, 4, 6])
+    sequence = [
+        ["check", "bounds", "--eq", "1,1", "--set", a, "--set", b, "--N", "9"],
+        ["check", "bounds", "--eq", "1,1", "--set", b],
+        ["search", "exact", "--eq", "1,1", "--N", "12", "--budget", "5", "--timing"],
+        ["search", "exact", "--eq", "1,1", "--N", "12"],
+        ["search", "exact", "--eq", "1,1"],
+        ["count", "distinct", "--eq", "1,1", "--set", a, "--N", "9", "--method", "enumerate"],
+        ["count", "distinct", "--eq", "1,1", "--set", a],
+    ]
+    cli_mod._parser.cache_clear()
+    reused = [_outcome(capsys, argv) for argv in sequence]
+    monkeypatch.setattr(cli_mod, "_parser", build_parser)
+    fresh = [_outcome(capsys, argv) for argv in sequence]
+    assert reused == fresh
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 2, 0, 0]
+    assert [len(json.loads(fresh[i][1])["sets"]) for i in (0, 1)] == [2, 1]
+    assert "time_ms" in fresh[2][1] and "time_ms" not in fresh[3][1]
+
+
 def test_fit_takes_sizes_past_int64(capsys, tmp_path):
     p = tmp_path / "points.csv"
     p.write_text(f"10,3\n100,9\n{10**30},27\n", encoding="utf-8")
@@ -476,8 +554,6 @@ def test_memory_error_maps_to_exit_3(capsys, set_file, monkeypatch):
 
 
 def test_check_inequalities_failure_maps_to_exit_4(capsys, monkeypatch):
-    import symfree.cli as cli_mod
-
     broken = {
         "trials": 1,
         "seed": 0,

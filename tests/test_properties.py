@@ -1,7 +1,8 @@
 """Randomized differential tests against the brute-force oracles: the
 half-sum join, the witness walk, the exact R(N) rows, the one-value check
 and the solution counts over signed and repeated coefficients, and the set
-sums over signed sets."""
+sums over signed sets; and the exact search's indifference to sign flips,
+permutations and common factors of the coefficients."""
 
 import functools
 import itertools
@@ -172,6 +173,30 @@ def test_exact_rows_match_russian_doll_oracle(text, N):
     assert res.exact
     edges = brute_edges(N, eq.full_coefficients())
     assert [len(row) for row in res.rows] == russian_doll_sizes(N, edges)
+
+
+@st.composite
+def equivalent_equations(draw):
+    """A drawn equation, one with its coefficients sign-flipped, permuted and
+    multiplied by a common factor, which has the same solution sets, and N."""
+    eq = draw(small_equations)
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=eq.k, max_size=eq.k))
+    order = draw(st.permutations(range(eq.k)))
+    g = draw(st.integers(1, 3))
+    other = Equation(tuple(g * signs[i] * eq.a[i] for i in order))
+    return eq, other, draw(st.integers(1, 24 if eq.k == 2 else 14))
+
+
+@given(equivalent_equations())
+def test_exact_search_sees_only_the_solution_sets(case):
+    # Flipping a sign swaps x_i with x_{k+i}, a permutation permutes the
+    # slot pairs and a common factor divides out, so the search must take
+    # the same path: the same rows, in the same number of nodes.
+    eq, other, N = case
+    res = exact_max_solution_free(N, eq)
+    again = exact_max_solution_free(N, other)
+    assert again.rows == res.rows and again.witness.elements == res.witness.elements
+    assert (again.nodes_explored, again.exact) == (res.nodes_explored, res.exact)
 
 
 @given(small_equations, st.lists(st.integers(1, 12), min_size=3, max_size=12), st.integers(0, 99))
