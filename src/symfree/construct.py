@@ -5,12 +5,15 @@ x_{k+1} + d*(x_{k+2} + ... + x_{2k}): integers whose base-(d*d*k) digits all
 stay below d add without carries under these weights, which forces any
 distinct-valued solution to repeat a value.  A seeded greedy scan provides a
 generic baseline for arbitrary equations; it grows its set one value at a
-time and tests each candidate against bitsets of the weighted sums its kept
-values reach.
+time and tests each candidate against rejection masks, which each kept value
+marks from bitsets of the weighted sums the values kept before it reach.
+Those bitsets, and how a kept value reads them, are one blocking plan
+(`_blocking_plan`), which the exact search in `search` reads too.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import sys
@@ -159,7 +162,7 @@ def _drop(C: tuple[int, ...], *cs: int) -> tuple[int, ...]:
     return tuple(rest)
 
 
-def _sum_bitset_plan(tops: list[tuple[int, ...]]) -> tuple[list, list]:
+def _sum_bitset_plan(tops: list[tuple[int, ...]]) -> tuple[tuple, tuple]:
     """The keys of the sub-multiset sum bitsets a caller keeps to read D[C]
     for each C in `tops`, and how one added value grows them.
 
@@ -179,15 +182,48 @@ def _sum_bitset_plan(tops: list[tuple[int, ...]]) -> tuple[list, list]:
         if C not in found:
             found.add(C)
             todo.extend(_drop(C, c) for c in set(C))
-    keys = sorted(found)
+    keys = tuple(sorted(found))
     index = {C: i for i, C in enumerate(keys)}
-    updates = [
-        (i, [(c, index[_drop(C, c)]) for c in sorted(set(C))]) for i, C in enumerate(keys) if C
-    ]
+    updates = tuple(
+        (i, tuple((c, index[_drop(C, c)]) for c in sorted(set(C))))
+        for i, C in enumerate(keys) if C
+    )
     return keys, updates
 
 
-def _grow_sums(D: list, updates: list, x: int) -> list:
+@functools.cache
+def _blocking_plan(full: tuple[int, ...]) -> tuple[tuple, tuple, tuple]:
+    """The sum bitsets that the greedy scan and the exact search both block
+    candidates from, for sorted full coefficients `full`, and how they read
+    them.
+
+    Adding w to a set S blocks b when S + {w, b} has a solution using both.
+    Negating a solution puts b at a negative slot cj of F = a | -a, and w
+    sits at some other slot ci, so ci*w - m*b + r = 0 for m = -cj and a sum
+    r of the other slots over S: bit offset - ci*w + m*b of D[F - {ci, cj}]
+    (`_sum_bitset_plan`), with offset = norm1*N for S in [1, N].  So
+    D[i] >> (offset - ci*w) holds bit m*b for each such b, below w as well
+    as above.  There is one read (i, ci, m) for each distinct ci and each
+    distinct cj < 0 whose drop leaves a multiset, i indexing the keys.  For
+    +-1 equations they are the two of the exact search's clique cover:
+    F - {-1, -1} at -1, then F - {1, -1} at 1.
+
+    Returns the keys, the updates for `_grow_sums` and the reads, as tuples
+    built once per equation.  The read keys hold the most slots, so no
+    update reads them.
+    """
+    pairs = [
+        (ci, cj)
+        for ci in sorted(set(full))
+        for cj in sorted({c for c in full if c < 0})
+        if ci != cj or full.count(cj) > 1
+    ]
+    keys, updates = _sum_bitset_plan([_drop(full, ci, cj) for ci, cj in pairs])
+    reads = tuple((keys.index(_drop(full, ci, cj)), ci, -cj) for ci, cj in pairs)
+    return keys, updates, reads
+
+
+def _grow_sums(D: list, updates: tuple, x: int) -> list:
     """The bitsets of `_sum_bitset_plan` once x joins the set, as a new list;
     every update reads the old bitsets in D."""
     grown = D.copy()
@@ -213,42 +249,46 @@ def greedy_solution_free(
     order "ascending" scans 1..N; order "shuffle" scans a permutation drawn
     from random.Random(seed).  The result is maximal for the scanned order.
 
-    For the chosen set S and each sub-multiset C of the full coefficients F
-    that misses a positive coefficient, a Python-int bitset D[C] holds every
-    sum of c*s over injective maps of C's slots into S, at bit offset
-    norm1*N so that no index is negative.  S is free, so a solution of S plus
-    x uses x once, and negating it if need be puts x at a positive
-    coefficient c: x is rejected iff -c*x is in D[F - {c}] for some c.  A
-    kept x grows the bitsets by `_grow_sums`.
+    The scan grows the chosen set's sum bitsets on the keys the exact search
+    blocks from (`_blocking_plan`), at offset norm1*N.  It keeps one
+    rejection mask H[m] for each distinct m among the plan's reads.  When it
+    keeps x, before growing the bitsets, it ORs each read (i, c, m)'s
+    D[i] >> (offset - c*x), cut to m*N + 1 bits, into H[m]; a candidate y is
+    rejected iff bit m*y of some H[m] is set.  That is exact: a solution of
+    S + {y} lies in S_w + {w, y}, where w is the member it uses that was
+    kept last and S_w the values kept before w, and it uses both w and y,
+    so w's reads marked y, whether y is above w or below it.
 
     One budget covers the scan.  The memory it allocates is charged before
-    any is: five words per candidate (a list slot and an int object) and
-    one per 64 bits of each bitset.  Each kept value then charges the words
-    its shifts produce.
+    any is: five words per candidate (a list slot and an int object), one
+    per 64 bits of each bitset, and two per 64 bits of each H[m] (H[m] and
+    the mask that cuts it).  Each kept value then charges the words its shifts
+    produce, those of the reads and of the growth.
     """
     _require_positive_int(N, "domain bound N")
     _require_types((eq, Equation))
     if order not in ("ascending", "shuffle"):
         raise ValidationError(f"unknown order {order!r}")
     _require_int(seed, "seed")
-    full = tuple(sorted(eq.full_coefficients()))
-    tests = [(c, _drop(full, c)) for c in sorted(set(full)) if c > 0]
-    keys, updates = _sum_bitset_plan([rest for _, rest in tests])
-    tests = [(c, keys.index(rest)) for c, rest in tests]
+    keys, updates, reads = _blocking_plan(tuple(sorted(eq.full_coefficients())))
+    H = dict.fromkeys(sorted({m for _, _, m in reads}), 0)
     offset = eq.norm1 * N
     words = 2 * offset // 64 + 1
     wb = WorkBudget(budget)
-    wb.spend(5 * N + len(keys) * words)
+    wb.spend(5 * N + len(keys) * words + sum(2 * (m * N // 64 + 1) for m in H))
     candidates = list(range(1, N + 1))
     if order == "shuffle":
         random.Random(seed).shuffle(candidates)
+    cuts = {m: (1 << m * N + 1) - 1 for m in H}
     D = [1 << offset] + [0] * (len(keys) - 1)
-    shifts = sum(len(parts) for _, parts in updates)
+    shifts = len(reads) + sum(len(parts) for _, parts in updates)
     chosen: list[int] = []
     for x in candidates:
-        if any(D[rest] >> (offset - c * x) & 1 for c, rest in tests):
+        if any(h >> m * x & 1 for m, h in H.items()):
             continue
         wb.spend(shifts * words)
+        for i, c, m in reads:
+            H[m] |= D[i] >> (offset - c * x) & cuts[m]
         D = _grow_sums(D, updates, x)
         chosen.append(x)
     return IntegerSet(tuple(sorted(chosen)), N)

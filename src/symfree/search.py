@@ -4,8 +4,9 @@ A 2k-subset of [1, N] is forbidden when some ordering of its values solves
 the equation; those subsets form a 2k-uniform hypergraph, and solution-free
 sets are exactly its independent sets.  Exact maxima come from a
 Russian-doll branch and bound, which settles R(v) for every v up to N.  It
-blocks candidates from sum bitsets of the chosen set, for every equation;
-greedy restarts give lower bounds.
+blocks candidates from sum bitsets of the chosen set, for every equation,
+through the blocking plan that the greedy scans read too; greedy restarts
+give lower bounds.
 Energy bounds tie the search back to the counting layer.
 """
 
@@ -18,7 +19,7 @@ from math import comb, gcd
 
 import numpy as np
 
-from .construct import _drop, _grow_sums, _sum_bitset_plan, greedy_solution_free
+from .construct import _blocking_plan, _grow_sums, greedy_solution_free
 from .counting import (
     DEFAULT_BUDGET,
     WorkBudget,
@@ -140,40 +141,12 @@ class _OutOfNodes(Exception):
     pass
 
 
-def _blocking_plan(eq: Equation, N: int):
-    """The sum bitsets the exact search blocks its candidates from, on sets
-    S in [1, N], and how it reads them.
-
-    Including w blocks b when S + {w, b} has a solution using both.
-    Negating a solution puts b at a negative slot cj of F = a | -a, and w
-    sits at some other slot ci, so ci*w - m*b + r = 0 for m = -cj and a sum
-    r of the other slots over S: bit offset - ci*w + m*b of D[F - {ci, cj}]
-    (`construct._sum_bitset_plan`), as offset = norm1*N.  There is one read
-    (i, ci, m) for each distinct ci and each distinct cj < 0 whose drop
-    leaves a multiset, i indexing the plan's keys.  For +-1 equations they
-    are the two of `_clique_cover`: F - {-1, -1} at -1, then F - {1, -1} at 1.
-
-    Returns the keys, the updates for `construct._grow_sums`, the reads and
-    offset.  The read keys hold the most slots, so no update reads them.
-    """
-    full = tuple(sorted(eq.full_coefficients()))
-    pairs = [
-        (ci, cj)
-        for ci in sorted(set(full))
-        for cj in sorted({c for c in full if c < 0})
-        if ci != cj or full.count(cj) > 1
-    ]
-    keys, updates = _sum_bitset_plan([_drop(full, ci, cj) for ci, cj in pairs])
-    reads = [(keys.index(_drop(full, ci, cj)), ci, -cj) for ci, cj in pairs]
-    return keys, updates, reads, eq.norm1 * N
-
-
-def _combs(reads: list, N: int) -> dict[int, int]:
+def _combs(reads: tuple, N: int) -> dict[int, int]:
     """For each m > 1 of the reads, the bits m*q for q = 1..N."""
     return {m: sum(1 << m * q for q in range(1, N + 1)) for _, _, m in reads if m > 1}
 
 
-def _blocked(D: list, reads: list, combs: dict, offset: int, w: int) -> int:
+def _blocked(D: list, reads: tuple, combs: dict, offset: int, w: int) -> int:
     """The candidates that including w blocks, on a set whose sum bitsets
     are D: its bits above w are the b > w that `_blocking_plan`'s reads
     find.  A read at m = 1 is one shift; at m > 1 the comb of `_combs`
@@ -190,18 +163,6 @@ def _blocked(D: list, reads: list, combs: dict, offset: int, w: int) -> int:
             blocked |= low << p // m
             hits ^= 1 << p
     return blocked
-
-
-def _grow_top(D: list, top: tuple, x: int) -> int:
-    """D[i] once x joins the set, for an update top = (i, parts) of a +-1
-    equation's plan: one step of `construct._grow_sums`' loop, kept here as
-    its fast path for c = +-1, where the shift by c*x is a shift by x, since
-    the generic step slows every node of the search."""
-    i, parts = top
-    bits = D[i]
-    for c, j in parts:
-        bits |= D[j] << x if c > 0 else D[j] >> x
-    return bits
 
 
 def _clique_cover(avail: int, need: int, below: int, above: int, N: int) -> tuple[int, int]:
@@ -287,8 +248,8 @@ def exact_max_solution_free(
     its new member.  It first tests its lowest candidate against the
     candidate count and the Russian-doll cap; a +-1 node then covers its
     candidates from the two bitsets its reads take, grown by the new member
-    alone as plain ints.  Only a node that passes its bounds grows the rest
-    of its bitsets, so most children the cover prunes never do.
+    alone.  Only a node that passes its bounds grows the rest of its
+    bitsets, so most children the cover prunes never do.
     """
     _require_types((eq, Equation))
     _require_int(budget, "node budget")
@@ -300,14 +261,15 @@ def exact_max_solution_free(
     # The search reads no edges: the build stays, first, for its subset
     # budget alone, so that its charge runs before any bitset is sized.
     build_hypergraph(N, eq)
-    keys, updates, reads, offset = _blocking_plan(search_eq, N)
+    keys, updates, reads = _blocking_plan(tuple(sorted(search_eq.full_coefficients())))
+    offset = search_eq.norm1 * N
     if unit:
-        # The reads' two bitsets grow first, by `_grow_top`; the node grows
-        # the rest once the cover passes.  Of 2k - 2 >= 2 slots, they are
-        # empty on {1}, so the bitsets of {1} need only the rest.
-        tops = dict(updates)
-        minus, plus = ((i, tops[i]) for i, _, _ in reads)
-        updates = [(i, parts) for i, parts in updates if i not in (minus[0], plus[0])]
+        # The reads' two bitsets grow first; the node grows the rest once
+        # the cover passes.  Of 2k - 2 >= 2 slots, they are empty on {1}, so
+        # the bitsets of {1} need only the rest.
+        minus, plus = (i for i, _, _ in reads)
+        tops = tuple(u for u in updates if u[0] in (minus, plus))
+        updates = tuple(u for u in updates if u[0] not in (minus, plus))
     D1: list | None = None  # the bitsets of {1}, built at the first row searched
     rows = [tuple(range(1, m + 1)) for m in range(1, min(N, n_rest + 1) + 1)]
     nodes = 0
@@ -332,15 +294,12 @@ def exact_max_solution_free(
         limit = v
         x = low.bit_length() - 1
         if unit:
-            below, above = _grow_top(state, minus, x), _grow_top(state, plus, x)
-            lo, hi = below >> offset, above >> (offset - N)
+            state = _grow_sums(state, tops, x)
+            lo, hi = state[minus] >> offset, state[plus] >> (offset - N)
             cliques, limit = _clique_cover(avail, need, lo, hi, N)
             if cliques < need:
                 return 0
-            state = _grow_sums(state, updates, x)
-            state[minus[0]], state[plus[0]] = below, above
-        else:
-            state = _grow_sums(state, updates, x)
+        state = _grow_sums(state, updates, x)
         while avail:
             low = avail & -avail
             w = low.bit_length() - 1

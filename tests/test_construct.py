@@ -323,7 +323,7 @@ def _oracle_scan(N, eq, order, seed):
 def test_greedy_matches_oracle_scan():
     # The bitsets are updated largest sub-multiset first; smallest first
     # would let one kept value fill two slots and reject too much.
-    cases = [(t, 24) for t in ("1,1", "1,2", "1,-2", "3,-5", "-1,-1")]
+    cases = [(t, 24) for t in ("1,1", "1,2", "1,-2", "3,-5", "-1,-1", "1,16")]
     cases += [(t, 14) for t in ("1,1,2", "2,-1,3", "1,1,1", "1,2,2", "1,2,3")]
     for eq_text, N in cases:
         eq = parse_equation(eq_text)
@@ -344,11 +344,12 @@ def test_greedy_budget_checked_before_allocating():
     assert peak < 64 * 1024
 
 
-@pytest.mark.parametrize("eq_text", ["1,1", "1,-1", "1,1,1", "1,2,2", "3,-5"])
+@pytest.mark.parametrize("eq_text", ["1,1", "1,-1", "1,1,1", "1,2,2", "3,-5", "1,16"])
 @pytest.mark.parametrize("N", [500, 2000])
 def test_greedy_peak_bytes_per_unit(eq_text, N, monkeypatch):
     # 0.3-2.5 bytes a unit from N = 500 on; at N = 20 the fixed overhead of
-    # the plan and the set alone passes 20.
+    # the plan and the set alone passes 20.  At m = 16, "1,16"'s rejection
+    # mask H[16] is the largest, 16*N bits.
     made = []
 
     class Recorded(construct_mod.WorkBudget):

@@ -53,13 +53,11 @@ from symfree.counting import (
     _rep_counts,
     _search_witness,
 )
-from symfree.construct import _grow_sums
+from symfree.construct import _blocking_plan, _grow_sums
 from symfree.search import (
     _blocked,
-    _blocking_plan,
     _clique_cover,
     _combs,
-    _grow_top,
     build_hypergraph,
     exact_max_solution_free,
 )
@@ -221,20 +219,29 @@ def _hypergraph_rows(eq):
     return [frozenset(row) for row in build_hypergraph(14, eq).edges]
 
 
+def _plan(eq, N):
+    """The blocking plan's keys, updates and reads for eq, and the bit
+    offset norm1*N of sets in [1, N]."""
+    return (*_blocking_plan(tuple(sorted(eq.full_coefficients()))), eq.norm1 * N)
+
+
+def _read_updates(updates, reads):
+    """The updates of the reads' keys, and the rest."""
+    tops = {i for i, _, _ in reads}
+    return [u for u in updates if u[0] in tops], [u for u in updates if u[0] not in tops]
+
+
 def _node_state(eq, N, S):
     """The sum bitsets of S as the exact search grows them for a +-1
-    equation, and the two conflict bitsets pre-shifted as the clique cover
-    reads them."""
-    keys, updates, reads, offset = _blocking_plan(eq, N)
-    tops = dict(updates)
-    minus, plus = ((i, tops[i]) for i, _, _ in reads)
-    rest = [(i, parts) for i, parts in updates if i not in (minus[0], plus[0])]
+    equation, the two read keys first and then the rest, and the two
+    conflict bitsets pre-shifted as the clique cover reads them."""
+    keys, updates, reads, offset = _plan(eq, N)
+    tops, rest = _read_updates(updates, reads)
+    (minus, _, _), (plus, _, _) = reads
     D = [1 << offset] + [0] * (len(keys) - 1)
     for s in S:
-        below, above = _grow_top(D, minus, s), _grow_top(D, plus, s)
-        D = _grow_sums(D, rest, s)
-        D[minus[0]], D[plus[0]] = below, above
-    return D, D[minus[0]] >> offset, D[plus[0]] >> (offset - N)
+        D = _grow_sums(_grow_sums(D, tops, s), rest, s)
+    return D, D[minus] >> offset, D[plus] >> (offset - N)
 
 
 def _greedy_keep(eq, values):
@@ -289,10 +296,12 @@ def test_blocking_matches_the_hypergraph(eq, values, w):
     # Including w in the search blocks, from the sum bitsets of S read
     # through the search's plan (m = 1 shifts and m > 1 combs), exactly the
     # candidates b > w for which some forbidden 2k-set inside S + {w, b}
-    # holds both w and b.  For +-1 equations that mask is the cover's.
+    # holds both w and b.  For +-1 equations that mask is the cover's.  The
+    # greedy scan's read, bit m*b of D[i] >> (offset - ci*w) for some read,
+    # finds them on both sides of w.
     S, _ = _greedy_keep(eq, values)
     assume(w not in S)
-    keys, updates, reads, offset = _blocking_plan(eq, 14)
+    keys, updates, reads, offset = _plan(eq, 14)
     D = [1 << offset] + [0] * (len(keys) - 1)
     for s in S:
         D = _grow_sums(D, updates, s)
@@ -309,19 +318,23 @@ def test_blocking_matches_the_hypergraph(eq, values, w):
     for b in range(w + 1, 15):
         if b not in S:
             assert bool(blocked >> b & 1) == (b in completing)
+    for b in set(range(1, 15)) - {*S, w}:
+        read = any(D[i] >> (offset - c * w) >> m * b & 1 for i, c, m in reads)
+        assert read == (b in completing), b
 
 
 @given(unit_equations, st.sets(st.integers(1, 14), max_size=8), st.integers(1, 14))
 def test_lazily_grown_conflicts_match_the_full_growth(eq, S, x):
     # The two conflict bitsets grown by x straight from S's bitsets, and the
     # node's growth of the rest, equal every bitset of the plan grown by x.
-    keys, plan, reads, _ = _blocking_plan(eq, 14)
+    keys, plan, reads, _ = _plan(eq, 14)
     D, _, _ = _node_state(eq, 14, sorted(S - {x}))
     assert len(D) == len(keys)
     grown = _grow_sums(D, plan, x)
     assert _node_state(eq, 14, sorted(S | {x}))[0] == grown
-    tops = dict(plan)
-    assert [_grow_top(D, (i, tops[i]), x) for i, _, _ in reads] == [grown[i] for i, _, _ in reads]
+    tops, _ = _read_updates(plan, reads)
+    first = _grow_sums(D, tops, x)
+    assert [first[i] for i, _, _ in reads] == [grown[i] for i, _, _ in reads]
     # The reads take exactly the plan's two largest keys.
     assert sorted(keys[i] for i, _, _ in reads) == [C for C in keys if len(C) == 2 * eq.k - 2]
 

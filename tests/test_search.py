@@ -352,6 +352,29 @@ def test_random_restarts_recheck_runs_under_the_scan_budget(monkeypatch):
         random_restarts(512, EQ11, 1, 0, budget=224)
 
 
+def test_blocking_plan_built_once_per_equation(monkeypatch):
+    # The greedy scans and the exact search read one cached plan: 40
+    # restarts and the search on the same reduced equation build it once.
+    import symfree.construct as construct_mod
+
+    built = []
+    real = construct_mod._sum_bitset_plan
+
+    def spy(tops):
+        built.append(tops)
+        return real(tops)
+
+    monkeypatch.setattr(construct_mod, "_sum_bitset_plan", spy)
+    construct_mod._blocking_plan.cache_clear()
+    try:
+        eq = parse_equation("1,2,2")
+        random_restarts(17, eq, trials=40, seed=0)
+        exact_max_solution_free(17, eq)
+    finally:
+        construct_mod._blocking_plan.cache_clear()
+    assert len(built) == 1
+
+
 def test_random_restarts_never_beats_exact():
     for n in (8, 10, 12):
         heur = random_restarts(n, EQ11, 6, 1)
